@@ -19,6 +19,9 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
+import numpy as np
+import scipy
+
 from . import __version__
 from .config import (
     SCHEMA_VERSION,
@@ -309,6 +312,23 @@ def _sweep_rows(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
+def _environment() -> dict:
+    """Library builds behind the emitted floats.
+
+    Empirical cells are byte-stable only for a fixed numpy/scipy/BLAS
+    build (and BLAS thread count), so the sidecar names the builds.
+    Deterministic facts only: no clocks, hosts or thread counts.
+    """
+    env = {"numpy": np.__version__, "scipy": scipy.__version__}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        # numpy < 1.26 only prints its build config.
+        return env
+    env["blas"] = {"name": blas.get("name"), "version": blas.get("version")}
+    return env
+
+
 def run(cfg: ExperimentConfig) -> RunResult:
     """Execute a validated config and return the result table."""
     meta_extra: dict = {}
@@ -345,6 +365,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
         "config": serialize_config(cfg),
         "column_semantics": {c: COLUMN_DOC[c] for c in columns},
         "n_rows": len(rows),
+        "environment": _environment(),
     }
     meta.update(meta_extra)
     return RunResult(columns=columns, rows=tuple(rows), meta=meta)

@@ -103,11 +103,15 @@ def solve_box_qp(
 
     Accelerated projected gradient with fixed step ``1/L`` (``L`` from a
     50-iteration power method, 2% safety margin) and momentum restart
-    whenever the accelerated candidate raises the cost.  Terminates when
-    the per-coordinate KKT violation falls below ``tol``, then sharpens
-    the iterate with one active-set polish: coordinates sitting on the
-    box stay fixed, the free block is re-solved exactly, and the result
-    is kept only if it lowers both the KKT residual and the cost.
+    whenever the accelerated candidate raises the cost.  An iteration
+    costs 2 matvecs (cost and gradient at the candidate; the momentum
+    point's gradient follows from the last two by linearity), plus 2
+    more on a restart.  Terminates when the per-coordinate KKT violation
+    falls below ``tol``, then sharpens the iterate with one active-set
+    polish: coordinates sitting on the box stay fixed, the free block is
+    re-solved exactly through the smaller of its ``n_free x n_free`` and
+    ``m x m`` linear systems, and the result is kept only if it lowers
+    both the KKT residual and the cost.
 
     Raises
     ------
@@ -147,7 +151,7 @@ def solve_box_qp(
     x = np.zeros(n)
     cost, grad = cost_and_grad(x)
     resid = kkt(x, grad)
-    y = x
+    y, g_y = x, grad
     t_m = 1.0
     costs = [cost] if trace else None
     iterations = 0
@@ -155,10 +159,6 @@ def solve_box_qp(
         return _solution(x, params, cost, resid, iterations, costs)
     stalled = False
     for iterations in range(1, max_iter + 1):
-        if y is x:
-            g_y = grad
-        else:
-            _, g_y = cost_and_grad(y)
         cand = project(y - step * g_y)
         c_cand, g_cand = cost_and_grad(cand)
         if c_cand > cost:
@@ -172,7 +172,11 @@ def solve_box_qp(
                 stalled = True
                 break
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
-        y = cand + ((t_m - 1.0) / t_next) * (cand - x)
+        mom = (t_m - 1.0) / t_next
+        y = cand + mom * (cand - x)
+        # The gradient is affine, so the momentum point's gradient is the
+        # same combination of the last two accepted gradients.
+        g_y = g_cand + mom * (g_cand - grad)
         x, cost, grad = cand, c_cand, g_cand
         t_m = t_next
         if costs is not None:
@@ -220,11 +224,18 @@ def _polish(
         return None
     h_free = channel[:, free]
     rhs = target if n_free == n else target - channel[:, ~free] @ x[~free]
+    # Solve the smaller of the two equivalent ridge systems: the
+    # n_free x n_free normal equations, or (Woodbury) the m x m dual
+    # x_free = H_f^T (H_f H_f^T + reg I)^-1 rhs, which SystemParams keeps
+    # nonsingular by forbidding reg = 0 when m < n.
+    wide = n_free > channel.shape[0]
     try:
-        gram = h_free.T @ h_free
-        if reg > 0.0:
-            gram[np.diag_indices_from(gram)] += reg
-        x_free = np.linalg.solve(gram, h_free.T @ rhs)
+        gram = h_free @ h_free.T if wide else h_free.T @ h_free
+        gram[np.diag_indices_from(gram)] += reg
+        if wide:
+            x_free = h_free.T @ np.linalg.solve(gram, rhs)
+        else:
+            x_free = np.linalg.solve(gram, h_free.T @ rhs)
     except np.linalg.LinAlgError:
         x_free, *_ = np.linalg.lstsq(h_free, rhs, rcond=None)
     if not np.all(np.isfinite(x_free)):

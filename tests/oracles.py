@@ -3,7 +3,9 @@
 Each oracle deliberately avoids the code path it is used to check:
 moments by adaptive quadrature instead of closed forms, the scalar saddle
 by damped fixed-point iteration instead of nested bisection, and the box
-QP by active-set enumeration instead of projected gradients.
+QP by active-set enumeration instead of projected gradients.  The plain
+APG reference re-evaluates every gradient from the channel, so it checks
+the solver's recycled momentum-point gradients.
 """
 
 from __future__ import annotations
@@ -129,3 +131,61 @@ def box_qp_by_enumeration(
             best_cost = cost
             best_x = x
     return best_x, best_cost
+
+
+def box_qp_apg_reference(
+    channel: np.ndarray,
+    symbols: np.ndarray,
+    reg: float,
+    amp: float,
+    target_power: float,
+    tol: float = 1e-9,
+    max_iter: int = 20000,
+) -> tuple[int, np.ndarray]:
+    """Iteration count and cost trace of a plain restarted APG loop.
+
+    The same method as the library solver before its polish: step
+    ``1/L`` from a 50-step power method with a 2% margin, momentum
+    restart on any cost increase, stop on a KKT residual below ``tol``.
+    Every gradient, the momentum point's included, is evaluated fresh.
+    ``amp`` must be finite.
+    """
+    n = channel.shape[1]
+    target = math.sqrt(target_power) * symbols
+    v = np.full(n, 1.0 / math.sqrt(n))
+    for _ in range(50):
+        w = channel.T @ (channel @ v)
+        v = w / np.linalg.norm(w)
+    step = 1.0 / (1.02 * (2.0 / n) * (float(v @ (channel.T @ (channel @ v))) + reg))
+
+    def cost_and_grad(x):
+        r = channel @ x - target
+        return float((r @ r + reg * (x @ x)) / n), (2.0 / n) * (channel.T @ r + reg * x)
+
+    def kkt(x, g):
+        viol = np.abs(g)
+        viol = np.where(x >= amp, np.maximum(g, 0.0), viol)
+        viol = np.where(x <= -amp, np.maximum(-g, 0.0), viol)
+        return float(viol.max())
+
+    x = y = np.zeros(n)
+    cost, grad = cost_and_grad(x)
+    costs = [cost]
+    t_m = 1.0
+    for it in range(1, max_iter + 1):
+        _, g_y = cost_and_grad(y)
+        cand = np.clip(y - step * g_y, -amp, amp)
+        c_cand, g_cand = cost_and_grad(cand)
+        if c_cand > cost:
+            t_m = 1.0
+            cand = np.clip(x - step * grad, -amp, amp)
+            c_cand, g_cand = cost_and_grad(cand)
+            if c_cand > cost:
+                raise RuntimeError("reference APG stalled")
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
+        y = cand + ((t_m - 1.0) / t_next) * (cand - x)
+        x, cost, grad, t_m = cand, c_cand, g_cand, t_next
+        costs.append(cost)
+        if kkt(x, grad) < tol:
+            return it, np.asarray(costs)
+    raise RuntimeError("reference APG did not converge")

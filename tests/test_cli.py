@@ -2,7 +2,9 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
+import scipy
 
 from boxprec import cli
 from boxprec.cli import emit_csv, main, run, verify_file
@@ -98,6 +100,10 @@ def test_sidecar_meta_contents(tmp_path):
     assert "emp_ber_box" in meta["column_semantics"]
     # Reproducible output: no clocks or hostnames in the sidecar.
     assert not any("time" in k or "host" in k for k in meta)
+    env = meta["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["scipy"] == scipy.__version__
+    assert not any("time" in k or "host" in k for k in env)
 
 
 def test_seed_flag_moves_empirics_not_theory(tmp_path):

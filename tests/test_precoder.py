@@ -12,8 +12,9 @@ from boxprec import (
     solve_saddle,
 )
 from boxprec.moments import q_tail
+from boxprec.presets import FIG3_REG
 
-from oracles import box_qp_by_enumeration
+from oracles import box_qp_apg_reference, box_qp_by_enumeration
 
 PINNED = dict(user_ratio=0.2, reg=1.0, amp=1.0, noise_var=0.09)
 
@@ -104,6 +105,34 @@ def test_iteration_budget_is_enforced():
     with pytest.raises(SolverError):
         solve_box_qp(real, p, max_iter=3)
     assert solve_box_qp(real, p).kkt_residual < 1e-9
+
+
+def test_wide_polish_matches_dense_ridge_solve():
+    # More free coordinates than users: the polish takes the m x m dual
+    # route, which must agree with the n_free x n_free normal equations.
+    p = SystemParams(user_ratio=0.2, reg=0.01, amp=0.8, noise_var=0.09, n_antennas=400)
+    real = generate_realization(p, 7)
+    sol = solve_box_qp(real, p)
+    h = real.channel
+    free = np.abs(sol.x_hat) < p.amp
+    n_free = int(free.sum())
+    assert h.shape[0] < n_free < h.shape[1]
+    rhs = math.sqrt(p.target_power) * real.symbols - h[:, ~free] @ sol.x_hat[~free]
+    h_free = h[:, free]
+    x_ref = np.linalg.solve(h_free.T @ h_free + p.reg * np.eye(n_free), h_free.T @ rhs)
+    assert float(np.abs(sol.x_hat[free] - x_ref).max()) < 1e-10
+
+
+@pytest.mark.parametrize("amp", [0.46415888336127786, 3.5938136638046276], ids=["tight", "loose"])
+def test_apg_path_matches_fresh_gradient_reference(amp):
+    p = SystemParams(user_ratio=0.2, reg=FIG3_REG, amp=amp, noise_var=0.09, n_antennas=1000)
+    real = generate_realization(p, 3)
+    sol = solve_box_qp(real, p, trace=True)
+    iterations, costs = box_qp_apg_reference(
+        real.channel, real.symbols, p.reg, p.amp, p.target_power
+    )
+    assert sol.iterations == iterations
+    assert float(np.max(np.abs(sol.cost_trace - costs) / np.abs(costs))) < 1e-12
 
 
 def _ks_to_clipped_gaussian(sample: np.ndarray, alpha: float, amp: float) -> float:
