@@ -120,27 +120,28 @@ def clip_moments(alpha: float, amp: float) -> ClipMoments:
         raise DomainError(f"amp must be positive or inf, got {amp!r}")
     if math.isinf(alpha):
         return ClipMoments(e_abs=0.0, e_sq=0.0, e_xh=0.0)
+    e_sq, e_xh, _ = _clip_sq_xh_m2(alpha, amp)
+    inv = 1.0 / alpha
+    t = amp * alpha
+    if t >= 40.0:
+        return ClipMoments(e_abs=_SQRT_2_OVER_PI * inv, e_sq=e_sq, e_xh=e_xh)
+    e_abs = -_SQRT_2_OVER_PI * math.expm1(-0.5 * t * t) * inv + 2.0 * amp * q_tail(t)
+    return ClipMoments(e_abs=e_abs, e_sq=e_sq, e_xh=e_xh)
+
+
+def _clip_sq_xh_m2(alpha: float, amp: float) -> tuple[float, float, float]:
+    """Unvalidated ``(E X^2, E H X, m2(amp alpha))`` for finite ``alpha > 0``.
+
+    One evaluation gives the saddle iteration both residuals and, through
+    ``dE[X^2]/dalpha = -2 m2/alpha^3`` and ``dE[H X]/dalpha = -m2/alpha^2``,
+    their derivatives; :func:`clip_moments` builds on the same numbers.
+    """
     inv = 1.0 / alpha
     t = amp * alpha
     if t >= 40.0:
         # Clip never binds at double precision (also covers amp = inf).
-        return ClipMoments(
-            e_abs=_SQRT_2_OVER_PI * inv, e_sq=inv * inv, e_xh=inv
-        )
+        return inv * inv, inv, 1.0
     m2 = _m2(t)
-    qt = q_tail(t)
-    pt = normal_pdf(t)
-    e_sq = m2 * inv * inv + 2.0 * amp * amp * qt
-    e_xh = m2 * inv + 2.0 * amp * pt
-    e_abs = -_SQRT_2_OVER_PI * math.expm1(-0.5 * t * t) * inv + 2.0 * amp * qt
-    return ClipMoments(e_abs=e_abs, e_sq=e_sq, e_xh=e_xh)
-
-
-def _e_xh(alpha: float, amp: float) -> float:
-    """Unvalidated fast path for ``E H X`` used by the saddle iteration."""
-    if math.isinf(alpha):
-        return 0.0
-    t = amp * alpha
-    if t >= 40.0:
-        return 1.0 / alpha
-    return _m2(t) / alpha + 2.0 * amp * normal_pdf(t)
+    e_sq = m2 * inv * inv + 2.0 * amp * amp * q_tail(t)
+    e_xh = m2 * inv + 2.0 * amp * normal_pdf(t)
+    return e_sq, e_xh, m2

@@ -12,11 +12,23 @@ with ``X = clamp(H / alpha, [-amp, amp])`` and
 ``alpha = 1/tau + 2 reg / beta``.  Every asymptotic performance metric in
 :mod:`boxprec.theory` is a closed-form function of this pair.
 
-The solver is a nested bisection: the inner level resolves ``beta`` for a
-given ``tau`` (the defining equation is strictly increasing in ``beta``),
-the outer level drives the power residual ``tau^2 user_ratio -
-target_power - E[X^2]`` to zero.  Existence and uniqueness hold whenever
-``reg > 0``, or ``reg = 0`` with ``user_ratio >= 1``; the constructor of
+The solver is a safeguarded Newton method in two levels, with the
+derivatives in closed form: with ``t = amp alpha`` and ``m2(t) =
+E[H^2 ; |H| <= t]``, ``dE[X^2]/dalpha = -2 m2 / alpha^3`` and
+``dE[H X]/dalpha = -m2 / alpha^2``, so one moment evaluation gives both
+residuals and their slopes.  The inner level resolves ``beta`` for a given
+``tau`` inside ``(0, 2 tau user_ratio]``, where the defining residual is
+strictly increasing, starting from the previous outer step's ``beta``.
+The outer level drives the power residual ``tau^2 user_ratio -
+target_power - E[X^2]`` to zero inside ``[sqrt(target_power /
+user_ratio), hi]``, with the implicit slope ``dbeta/dtau`` of the inner
+solution; ``hi`` is the first iterate with a positive residual.  A Newton
+step that would leave its bracket becomes a bisection step (a doubling
+while ``hi`` is unknown).  Both levels stop when the residual is at
+rounding level relative to its own scale, or when a step is below 1e-15
+relative, and the returned point is checked against the 1e-9 contract on
+both residuals.  Existence and uniqueness hold whenever ``reg > 0``, or
+``reg = 0`` with ``user_ratio >= 1``; the constructor of
 :class:`SystemParams` enforces exactly that.
 """
 
@@ -26,12 +38,19 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SolverError
-from .moments import ClipMoments, _e_xh, clip_moments
+from .moments import ClipMoments, _clip_sq_xh_m2, clip_moments
 
-__all__ = ["SaddlePoint", "SystemParams", "phi_value", "solve_saddle"]
+__all__ = [
+    "SaddlePoint",
+    "SystemParams",
+    "phi_value",
+    "saddle_residuals",
+    "solve_saddle",
+]
 
-_TOL = 1e-12
 _MAX_ITER = 200
+_STEP_TOL = 1e-15  # Newton steps below this, relative, are rounding noise
+_RESIDUAL_TOL = 1e-9  # contract on both residuals of a returned point
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,6 +155,9 @@ class SaddlePoint:
         ``tau^2 user_ratio - target_power - E[X^2]`` at the solution.
     residual_beta : float
         ``beta - 2 tau user_ratio + 2 E[H X]`` at the solution.
+    evaluations : int
+        Moment evaluations the solve took, the final check included; a
+        deterministic function of the parameters.
     """
 
     tau: float
@@ -145,42 +167,29 @@ class SaddlePoint:
     moments: ClipMoments
     residual_power: float
     residual_beta: float
-
-
-def _beta_for_tau(tau: float, p: SystemParams) -> float:
-    """Solve ``beta = 2 tau user_ratio - 2 E[H X]`` for fixed ``tau``.
-
-    The right-hand side is decreasing in ``beta`` (larger ``beta`` lowers
-    ``alpha`` and raises ``E[H X]``), so the defining residual is strictly
-    increasing and a plain bisection is safe.
-    """
-    two_td = 2.0 * tau * p.user_ratio
-    if p.reg == 0.0:
-        return two_td - 2.0 * _e_xh(1.0 / tau, p.amp)
-    inv_tau = 1.0 / tau
-    two_reg = 2.0 * p.reg
-
-    def res(beta: float) -> float:
-        return beta - two_td + 2.0 * _e_xh(inv_tau + two_reg / beta, p.amp)
-
-    lo, hi = two_td * 1e-300, two_td
-    # res(lo) ~ -two_td < 0, res(hi) = 2 E[H X] > 0
-    tol = _TOL * max(1.0, two_td)
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if res(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+    evaluations: int
 
 
 def _alpha_of(tau: float, beta: float, p: SystemParams) -> float:
     if p.reg == 0.0:
         return 1.0 / tau
     return 1.0 / tau + 2.0 * p.reg / beta
+
+
+def saddle_residuals(
+    params: SystemParams, tau: float, beta: float
+) -> tuple[float, ClipMoments, float, float]:
+    """``(alpha, moments, residual_power, residual_beta)`` at ``(tau, beta)``.
+
+    The one definition of the two fixed-point defects, shared by the
+    solver's final check and :mod:`boxprec.theory`.
+    """
+    alpha = _alpha_of(tau, beta, params)
+    mom = clip_moments(alpha, params.amp)
+    delta = params.user_ratio
+    res_power = tau * tau * delta - params.target_power - mom.e_sq
+    res_beta = beta - 2.0 * tau * delta + 2.0 * mom.e_xh
+    return alpha, mom, res_power, res_beta
 
 
 def solve_saddle(params: SystemParams) -> SaddlePoint:
@@ -192,8 +201,8 @@ def solve_saddle(params: SystemParams) -> SaddlePoint:
         For the degenerate point ``reg = 0, user_ratio = 1, amp = inf``
         where the saddle point is not unique.
     SolverError
-        If bracketing or bisection fails; the message carries the last
-        residuals.
+        If bracketing fails, an iteration budget runs out, or the final
+        residuals exceed 1e-9; the message carries the residuals.
     """
     if params.reg == 0.0 and params.user_ratio == 1.0 and math.isinf(params.amp):
         raise DomainError(
@@ -201,58 +210,114 @@ def solve_saddle(params: SystemParams) -> SaddlePoint:
         )
     delta = params.user_ratio
     rho = params.target_power
+    reg = params.reg
+    amp = params.amp
+    evaluations = 0
 
-    def power_residual(tau: float) -> tuple[float, float]:
-        beta = _beta_for_tau(tau, params)
-        mom_sq = clip_moments(_alpha_of(tau, beta, params), params.amp).e_sq
-        return tau * tau * delta - rho - mom_sq, beta
+    def beta_for_tau(tau: float, beta: float) -> tuple[float, float, float, float]:
+        """Newton on ``beta - 2 tau delta + 2 E[H X]`` within ``(0, 2 tau delta]``.
+
+        Starts from ``beta``; returns ``(beta, alpha, E[X^2], m2)``.
+        """
+        nonlocal evaluations
+        two_td = 2.0 * tau * delta
+        if reg == 0.0:
+            evaluations += 1
+            alpha = 1.0 / tau
+            e_sq, e_xh, m2 = _clip_sq_xh_m2(alpha, amp)
+            return two_td - 2.0 * e_xh, alpha, e_sq, m2
+        # The residual is -2 tau delta at beta -> 0, 2 E[H X] > 0 at
+        # beta = 2 tau delta, and strictly increasing in between.
+        lo, hi = 0.0, two_td
+        if not lo < beta < hi:
+            beta = 0.5 * hi
+        tol = 4e-16 * two_td
+        for _ in range(_MAX_ITER):
+            evaluations += 1
+            alpha = _alpha_of(tau, beta, params)
+            e_sq, e_xh, m2 = _clip_sq_xh_m2(alpha, amp)
+            res = beta - two_td + 2.0 * e_xh
+            if abs(res) <= tol:
+                return beta, alpha, e_sq, m2
+            if res < 0.0:
+                lo = beta
+            else:
+                hi = beta
+            step = res / (1.0 + 4.0 * reg * m2 / (alpha * alpha * beta * beta))
+            if abs(step) <= _STEP_TOL * beta:
+                return beta, alpha, e_sq, m2
+            beta -= step
+            if not lo < beta < hi:
+                beta = 0.5 * (lo + hi)
+        raise SolverError(
+            f"beta iteration did not converge at tau={tau!r} (residual {res:.3e})"
+        )
+
+    def power_residual(tau: float, beta: float) -> tuple[float, float, float]:
+        """``(residual, d residual / d tau, beta)`` along ``beta(tau)``."""
+        beta, alpha, e_sq, m2 = beta_for_tau(tau, beta)
+        res = tau * tau * delta - rho - e_sq
+        # Implicit derivative: the beta residual stays at zero as tau moves.
+        a2 = alpha * alpha
+        tau2 = tau * tau
+        slope = 2.0 * tau * delta - 2.0 * m2 / (a2 * alpha * tau2)
+        if reg != 0.0:
+            b2 = beta * beta
+            dbeta = (2.0 * delta - 2.0 * m2 / (a2 * tau2)) / (
+                1.0 + 4.0 * reg * m2 / (a2 * b2)
+            )
+            slope -= 4.0 * reg * m2 / (a2 * alpha * b2) * dbeta
+        return res, slope, beta
 
     floor = math.sqrt(rho / delta)
-    lo = floor * (1.0 + 1e-12)
-    r_lo, _ = power_residual(lo)
-    if r_lo > 0.0:
+    tau = floor * (1.0 + 1e-12)
+    # Any first beta inside (0, 2 tau delta) works; later inner solves
+    # start from the previous one.
+    res, slope, beta = power_residual(tau, 0.5 * tau * delta)
+    if res > 0.0:
         # E[X^2] below bracketing resolution: solution sits at the floor.
-        if r_lo < 1e-9:
-            return _assemble(lo, params)
-        raise SolverError(
-            f"power residual positive at lower bracket: {r_lo:.3e}"
-        )
-    hi = 2.0 * lo
+        if res < 1e-9:
+            return _assemble(tau, beta, params, evaluations)
+        raise SolverError(f"power residual positive at lower bracket: {res:.3e}")
+    # The power residual is increasing in tau; hi stays infinite until a
+    # point with a positive residual is found.
+    lo, hi = tau, math.inf
     for _ in range(_MAX_ITER):
-        r_hi, _ = power_residual(hi)
-        if r_hi > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError(f"failed to bracket tau; residual at {hi:.3e} still negative")
-    tol = _TOL * max(1.0, hi)
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        r_mid, _ = power_residual(mid)
-        if r_mid < 0.0:
-            lo = mid
+        if abs(res) <= 1e-15 * (rho + delta * tau * tau):
+            return _assemble(tau, beta, params, evaluations)
+        if res < 0.0:
+            lo = tau
         else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return _assemble(0.5 * (lo + hi), params)
+            hi = tau
+        new = tau - res / slope if slope > 0.0 else math.nan
+        if not lo < new < hi:
+            new = 2.0 * lo if math.isinf(hi) else 0.5 * (lo + hi)
+        if abs(new - tau) <= _STEP_TOL * tau:
+            return _assemble(tau, beta, params, evaluations)
+        tau = new
+        res, slope, beta = power_residual(tau, beta)
+    if math.isinf(hi):
+        raise SolverError(f"failed to bracket tau; residual at {tau:.3e} still negative")
+    raise SolverError(f"tau iteration did not converge (power residual {res:.3e})")
 
 
-def _assemble(tau: float, params: SystemParams) -> SaddlePoint:
-    beta = _beta_for_tau(tau, params)
-    alpha = _alpha_of(tau, beta, params)
-    moments = clip_moments(alpha, params.amp)
-    delta = params.user_ratio
-    res_power = tau * tau * delta - params.target_power - moments.e_sq
-    res_beta = beta - 2.0 * tau * delta + 2.0 * moments.e_xh
+def _assemble(
+    tau: float, beta: float, params: SystemParams, evaluations: int
+) -> SaddlePoint:
+    alpha, moments, res_power, res_beta = saddle_residuals(params, tau, beta)
+    if abs(res_power) > _RESIDUAL_TOL or abs(res_beta) > _RESIDUAL_TOL:
+        raise SolverError(
+            f"saddle residuals {res_power:.3e}, {res_beta:.3e} exceed {_RESIDUAL_TOL}"
+        )
     return SaddlePoint(
         tau=tau,
         beta=beta,
         alpha=alpha,
-        phi=phi_value(tau, beta, params),
+        phi=_phi(tau, beta, alpha, moments, params),
         moments=moments,
         residual_power=res_power,
         residual_beta=res_beta,
+        evaluations=evaluations + 1,
     )
 
 
@@ -269,7 +334,12 @@ def phi_value(tau: float, beta: float, params: SystemParams) -> float:
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
     alpha = _alpha_of(tau, beta, params)
-    mom = clip_moments(alpha, params.amp)
+    return _phi(tau, beta, alpha, clip_moments(alpha, params.amp), params)
+
+
+def _phi(
+    tau: float, beta: float, alpha: float, mom: ClipMoments, params: SystemParams
+) -> float:
     delta = params.user_ratio
     rho = params.target_power
     expected_inner = 0.5 * beta * alpha * mom.e_sq - beta * mom.e_xh

@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .moments import clip_moments, q_tail
-from .saddle import SaddlePoint, SystemParams
+from .moments import q_tail
+from .saddle import _RESIDUAL_TOL, SaddlePoint, SystemParams, saddle_residuals
 
 __all__ = [
     "BoxTheory",
@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 _E_ABS_GAUSS = math.sqrt(2.0 / math.pi)  # E|H| for standard normal H
-_RESIDUAL_TOL = 1e-9
 
 
 def _check_solution(params: SystemParams, sp: SaddlePoint) -> None:
@@ -46,11 +45,7 @@ def _check_solution(params: SystemParams, sp: SaddlePoint) -> None:
     Residuals are recomputed from scratch so that a mismatched
     (params, saddle) pair cannot slip through.
     """
-    alpha = 1.0 / sp.tau + (2.0 * params.reg / sp.beta if params.reg else 0.0)
-    mom = clip_moments(alpha, params.amp)
-    delta = params.user_ratio
-    r_power = sp.tau * sp.tau * delta - params.target_power - mom.e_sq
-    r_beta = sp.beta - 2.0 * sp.tau * delta + 2.0 * mom.e_xh
+    _, _, r_power, r_beta = saddle_residuals(params, sp.tau, sp.beta)
     if abs(r_power) > _RESIDUAL_TOL or abs(r_beta) > _RESIDUAL_TOL:
         raise DomainError(
             "saddle point does not solve these params "

@@ -2,7 +2,7 @@
 
 Each oracle deliberately avoids the code path it is used to check:
 moments by adaptive quadrature instead of closed forms, the scalar saddle
-by damped fixed-point iteration instead of nested bisection, and the box
+by damped fixed-point iteration instead of Newton's method, and the box
 QP by active-set enumeration instead of projected gradients.  The plain
 APG reference re-evaluates every gradient from the channel, so it checks
 the solver's recycled momentum-point gradients.

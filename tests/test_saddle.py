@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from boxprec import DomainError, SystemParams, solve_saddle
 from boxprec.moments import clip_moments
@@ -40,6 +42,14 @@ def test_frozen_fixture_point():
     assert math.isclose(sp.moments.e_xh, 0.21741716758059762, rel_tol=1e-12)
 
 
+def test_pinned_point_matches_high_precision_solution():
+    # (tau, beta) of the pinned point solved with mpmath at 50 significant
+    # digits, taking the inputs as their binary doubles.
+    sp = solve_saddle(SystemParams(**PINNED))
+    assert math.isclose(sp.tau, 2.2883074971640068806, rel_tol=1e-14)
+    assert math.isclose(sp.beta, 0.48048866370434698168, rel_tol=1e-14)
+
+
 def test_alpha_ties_tau_and_beta():
     sp = solve_saddle(SystemParams(**PINNED))
     assert math.isclose(sp.alpha, 1.0 / sp.tau + 2.0 * 1.0 / sp.beta, rel_tol=1e-14)
@@ -57,6 +67,43 @@ def test_residuals_below_tolerance_on_random_grid():
         sp = solve_saddle(p)
         assert abs(sp.residual_power) < 1e-9
         assert abs(sp.residual_beta) < 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    user_ratio=st.floats(min_value=0.05, max_value=3.0),
+    reg=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e2)),
+    amp=st.one_of(st.floats(min_value=0.05, max_value=20.0), st.just(math.inf)),
+    target_power=st.floats(min_value=1e-2, max_value=1e4),
+)
+def test_residuals_below_tolerance_over_the_domain(user_ratio, reg, amp, target_power):
+    assume(reg > 0.0 or user_ratio >= 1.0)
+    assume(not (reg == 0.0 and user_ratio == 1.0 and math.isinf(amp)))
+    sp = solve_saddle(
+        SystemParams(user_ratio=user_ratio, reg=reg, amp=amp, target_power=target_power)
+    )
+    assert abs(sp.residual_power) <= 1e-9
+    assert abs(sp.residual_beta) <= 1e-9
+
+
+def test_evaluation_count_bounded_on_criterion_01_grid():
+    # Same draws as acceptance criterion 01.  The Newton iteration needs
+    # at most 37 moment evaluations there; a slide back to bisection
+    # would need hundreds.
+    rng = np.random.default_rng(20260822)
+    counts = [
+        solve_saddle(SystemParams(user_ratio=2.0, reg=0.0, amp=math.inf)).evaluations
+    ]
+    for _ in range(100):
+        p = SystemParams(
+            user_ratio=10.0 ** rng.uniform(-1.3, 0.7),
+            reg=10.0 ** rng.uniform(-3.0, 2.0),
+            amp=math.inf if rng.random() < 0.2 else 10.0 ** rng.uniform(-1.0, 1.0),
+            target_power=10.0 ** rng.uniform(-1.0, 1.0),
+        )
+        counts.append(solve_saddle(p).evaluations)
+    assert min(counts) >= 2
+    assert max(counts) <= 50
 
 
 def test_agrees_with_damped_fixed_point_oracle():

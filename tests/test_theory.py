@@ -45,13 +45,19 @@ def test_box_internal_identities():
     assert math.isclose(bt.power, sp.moments.e_sq, rel_tol=1e-9)
 
 
+# The quantized and Bussgang fixtures at the pinned point are exact
+# values: the saddle system was solved with mpmath at 50 significant
+# digits (inputs taken as their binary doubles), the closed forms were
+# evaluated at that precision, and the results were rounded to double.
+
+
 def test_quant_frozen_fixture():
     p, sp = pinned()
     qt = quant_theory(p, sp)
-    assert math.isclose(qt.sig_coef, 1.7433945433300007, rel_tol=1e-12)
-    assert math.isclose(qt.dist_var, 0.53880585258313562, rel_tol=1e-12)
-    assert math.isclose(qt.sdnr_lb, 4.8336454268465534, rel_tol=1e-12)
-    assert math.isclose(qt.ber, 0.013954779012114201, rel_tol=1e-10)
+    assert math.isclose(qt.sig_coef, 1.7433945433288933, rel_tol=1e-12)
+    assert math.isclose(qt.dist_var, 0.5388058525872969, rel_tol=1e-12)
+    assert math.isclose(qt.sdnr_lb, 4.833645426808426, rel_tol=1e-12)
+    assert math.isclose(qt.ber, 0.013954779012422766, rel_tol=1e-10)
     assert math.isclose(qt.rx_scale, 1.0 / qt.sig_coef, rel_tol=1e-14)
 
 
@@ -67,11 +73,11 @@ def test_quant_known_unclipped_values():
 def test_bussgang_frozen_fixture():
     p, sp = pinned()
     bu = bussgang_theory(p, sp)
-    assert math.isclose(bu.gain, 3.6698317727207286, rel_tol=1e-12)
+    assert math.isclose(bu.gain, 3.669831772669084, rel_tol=1e-12)
     assert math.isclose(bu.resid_var, 0.36338022763241862, rel_tol=1e-12)
-    assert math.isclose(bu.sig_coef, 1.743394256477119, rel_tol=1e-12)
-    assert math.isclose(bu.noise_var, 0.62880772377039096, rel_tol=1e-12)
-    assert math.isclose(bu.ber, 0.013954908299941672, rel_tol=1e-10)
+    assert math.isclose(bu.sig_coef, 1.7433942564536407, rel_tol=1e-12)
+    assert math.isclose(bu.noise_var, 0.6288077237701988, rel_tol=1e-12)
+    assert math.isclose(bu.ber, 0.01395490830098339, rel_tol=1e-10)
 
 
 def test_bussgang_exact_without_clipping():

@@ -132,3 +132,19 @@ def test_optimize_quant_all_fail():
     edge = SystemParams(user_ratio=1.0, reg=0.0, amp=2.0, noise_var=0.09)
     with pytest.raises(SolverError, match="no feasible point"):
         optimize_quant(edge, 5.0, reg_grid=(0.0,), amp_grid=(math.inf,))
+
+
+FIG2 = SystemParams(user_ratio=0.2, reg=1.0, amp=2.0, noise_var=0.09, n_antennas=800)
+
+
+def test_optimize_box_fig2_grid_is_all_feasible():
+    # At reg = 100 the power control needs target_power ~ 1.5e4, where
+    # the power residual must still reach 1e-9 against a scale of 1e4
+    # for the grid point to count as feasible.
+    res = optimize_box(FIG2, 5.0)
+    assert not any(math.isnan(ber) for _, ber in res.grid_trace)
+    power = FIG2.noise_var * 10.0 ** 0.5
+    tuned = tune_target_power(replace(FIG2, reg=100.0), power).params
+    assert tuned.target_power > 1e4
+    bt = box_theory(tuned, solve_saddle(tuned))
+    assert bt.power == pytest.approx(power, rel=1e-8)
