@@ -17,13 +17,14 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy
 
 from . import __version__
 from .config import (
+    _PARAM_FIELDS,
     SCHEMA_VERSION,
     ExperimentConfig,
     parse_config,
@@ -45,81 +46,9 @@ __all__ = [
     "verify_file",
 ]
 
-PARAM_COLS = (
-    "user_ratio",
-    "reg",
-    "amp",
-    "level",
-    "noise_var",
-    "target_power",
-    "n_antennas",
-)
-SADDLE_COLS = (
-    "tau",
-    "beta",
-    "alpha",
-    "phi",
-    "residual_power",
-    "residual_beta",
-    "e_abs",
-    "e_sq",
-    "e_xh",
-)
-BOX_COLS = (
-    "box_power",
-    "box_sig_coef",
-    "box_dist_std",
-    "box_sdnr_lb",
-    "box_ber",
-    "box_rx_scale",
-)
-QUANT_COLS = (
-    "quant_sig_coef",
-    "quant_dist_var",
-    "quant_sdnr_lb",
-    "quant_ber",
-    "quant_rx_scale",
-)
-BUSS_COLS = (
-    "buss_gain",
-    "buss_resid_var",
-    "buss_sig_coef",
-    "buss_noise_var",
-    "buss_ber",
-)
-EMP_COLS = (
-    "emp_trials",
-    "emp_base_seed",
-    "emp_ber_box",
-    "emp_ber_box_se",
-    "emp_sdnr_lb_box",
-    "emp_sdnr_avg_box",
-    "emp_power_box",
-    "emp_w2_box",
-    "emp_ber_quant",
-    "emp_ber_quant_se",
-    "emp_sdnr_lb_quant",
-    "emp_sdnr_avg_quant",
-    "emp_power_quant",
-    "emp_w2_quant",
-)
-
-# Canonical column order; emitted tables keep this order filtered to the
-# columns any row actually carries.
-ALL_COLS = (
-    ("pipeline",)
-    + PARAM_COLS
-    + SADDLE_COLS
-    + BOX_COLS
-    + QUANT_COLS
-    + BUSS_COLS
-    + ("objective_ber",)
-    + EMP_COLS
-)
-
-# Columns the verify subcommand recomputes from the parameter columns.
-_VERIFIABLE = frozenset(SADDLE_COLS + BOX_COLS + QUANT_COLS + BUSS_COLS)
-
+# The one hand-kept column table, in canonical column order.  Rows are
+# built from result dataclass fields (see ``_cells``): parameter, saddle
+# and moment fields bare, the rest prefixed by pipeline.
 COLUMN_DOC = {
     "pipeline": "transmitter the row describes: box (relaxed) or quantized (one-bit)",
     "user_ratio": "users per antenna, m/n",
@@ -171,6 +100,18 @@ COLUMN_DOC = {
     "emp_w2_quant": "mean W2 distance of distortion law to theory, one-bit precoder",
 }
 
+# Canonical column order; emitted tables keep this order filtered to the
+# columns any row actually carries.
+ALL_COLS = tuple(COLUMN_DOC)
+
+# Columns the verify subcommand recomputes from the parameter columns.
+_VERIFIABLE = tuple(
+    c
+    for c in ALL_COLS
+    if c not in ("pipeline", "objective_ber", *_PARAM_FIELDS)
+    and not c.startswith("emp_")
+)
+
 
 @dataclass(frozen=True, slots=True)
 class RunResult:
@@ -181,77 +122,32 @@ class RunResult:
     meta: dict
 
 
-def _param_cells(params: SystemParams) -> dict:
-    return {name: getattr(params, name) for name in PARAM_COLS}
-
-
-def _saddle_cells(params: SystemParams):
-    sp = solve_saddle(params)
-    cells = {
-        "tau": sp.tau,
-        "beta": sp.beta,
-        "alpha": sp.alpha,
-        "phi": sp.phi,
-        "residual_power": sp.residual_power,
-        "residual_beta": sp.residual_beta,
-        "e_abs": sp.moments.e_abs,
-        "e_sq": sp.moments.e_sq,
-        "e_xh": sp.moments.e_xh,
+def _cells(obj, prefix: str = "", skip: tuple[str, ...] = ()) -> dict:
+    """Row cells ``prefix + field`` for each field of a result dataclass."""
+    return {
+        prefix + f.name: getattr(obj, f.name)
+        for f in fields(obj)
+        if f.name not in skip
     }
-    return sp, cells
+
+
+def _saddle_row(params: SystemParams):
+    """Parameter, saddle and moment columns for one operating point."""
+    sp = solve_saddle(params)
+    row = _cells(params)
+    row.update(_cells(sp, skip=("moments", "evaluations")))
+    row.update(_cells(sp.moments))
+    return sp, row
 
 
 def _theory_row(params: SystemParams) -> dict:
     """Parameter, saddle, and theory columns for one operating point."""
-    sp, cells = _saddle_cells(params)
-    row = _param_cells(params)
-    row.update(cells)
-    bt = box_theory(params, sp)
-    row.update(
-        box_power=bt.power,
-        box_sig_coef=bt.sig_coef,
-        box_dist_std=bt.dist_std,
-        box_sdnr_lb=bt.sdnr_lb,
-        box_ber=bt.ber,
-        box_rx_scale=bt.rx_scale,
-    )
+    sp, row = _saddle_row(params)
+    row.update(_cells(box_theory(params, sp), "box_"))
     if params.target_power == 1.0:
-        qt = quant_theory(params, sp)
-        row.update(
-            quant_sig_coef=qt.sig_coef,
-            quant_dist_var=qt.dist_var,
-            quant_sdnr_lb=qt.sdnr_lb,
-            quant_ber=qt.ber,
-            quant_rx_scale=qt.rx_scale,
-        )
-        bu = bussgang_theory(params, sp)
-        row.update(
-            buss_gain=bu.gain,
-            buss_resid_var=bu.resid_var,
-            buss_sig_coef=bu.sig_coef,
-            buss_noise_var=bu.noise_var,
-            buss_ber=bu.ber,
-        )
+        row.update(_cells(quant_theory(params, sp), "quant_"))
+        row.update(_cells(bussgang_theory(params, sp), "buss_"))
     return row
-
-
-def _emp_cells(rep) -> dict:
-    return {
-        "emp_trials": rep.trials,
-        "emp_base_seed": rep.base_seed,
-        "emp_ber_box": rep.ber_box,
-        "emp_ber_box_se": rep.ber_box_se,
-        "emp_sdnr_lb_box": rep.sdnr_lb_box,
-        "emp_sdnr_avg_box": rep.sdnr_avg_box,
-        "emp_power_box": rep.power_box,
-        "emp_w2_box": rep.w2_box,
-        "emp_ber_quant": rep.ber_quant,
-        "emp_ber_quant_se": rep.ber_quant_se,
-        "emp_sdnr_lb_quant": rep.sdnr_lb_quant,
-        "emp_sdnr_avg_quant": rep.sdnr_avg_quant,
-        "emp_power_quant": rep.power_quant,
-        "emp_w2_quant": rep.w2_quant,
-    }
 
 
 def _point_snr_db(cfg: ExperimentConfig, params: SystemParams) -> float:
@@ -260,17 +156,20 @@ def _point_snr_db(cfg: ExperimentConfig, params: SystemParams) -> float:
     return 10.0 * math.log10(params.level**2 / params.noise_var)
 
 
+def _optimize(
+    cfg: ExperimentConfig, pipeline: str, base: SystemParams, snr_db: float
+):
+    """Tune one pipeline at ``base`` over the config's grids."""
+    if pipeline == "box":
+        return optimize_box(base, snr_db, cfg.reg_grid)
+    return optimize_quant(base, snr_db, cfg.reg_grid, cfg.amp_grid)
+
+
 def _tuned_points(cfg: ExperimentConfig, base: SystemParams):
     """Tuned (pipeline, params) rows for one sweep point, box first."""
     snr_db = _point_snr_db(cfg, base)
-    out = []
-    if cfg.tuned in ("box", "both"):
-        res = optimize_box(base, snr_db, cfg.reg_grid)
-        out.append(("box", res.params))
-    if cfg.tuned in ("quantized", "both"):
-        res = optimize_quant(base, snr_db, cfg.reg_grid, cfg.amp_grid)
-        out.append(("quantized", res.params))
-    return out
+    pipelines = ("box", "quantized") if cfg.tuned == "both" else (cfg.tuned,)
+    return [(p, _optimize(cfg, p, base, snr_db).params) for p in pipelines]
 
 
 def _sweep_rows(cfg: ExperimentConfig) -> list[dict]:
@@ -303,7 +202,7 @@ def _sweep_rows(cfg: ExperimentConfig) -> list[dict]:
                 if cfg.mode == "simulate":
                     seed = cfg.base_seed + j * cfg.trials
                     rep = run_experiment(params, cfg.trials, seed)
-                    row.update(_emp_cells(rep))
+                    row.update(_cells(rep, "emp_"))
                 rows.append(row)
         except DomainError as exc:
             raise DomainError(f"at {where}: {exc}") from exc
@@ -333,28 +232,17 @@ def run(cfg: ExperimentConfig) -> RunResult:
     """Execute a validated config and return the result table."""
     meta_extra: dict = {}
     if cfg.mode == "saddle":
-        _, cells = _saddle_cells(cfg.params)
-        rows = [dict(_param_cells(cfg.params), **cells)]
+        rows = [_saddle_row(cfg.params)[1]]
     elif cfg.mode == "theory":
         rows = [_theory_row(cfg.params)]
-    elif cfg.mode == "tune-box":
-        res = optimize_box(cfg.params, cfg.target_snr_db, cfg.reg_grid)
+    elif cfg.mode in ("tune-box", "tune-quant"):
+        pipeline = "box" if cfg.mode == "tune-box" else "quantized"
+        res = _optimize(cfg, pipeline, cfg.params, cfg.target_snr_db)
         row = _theory_row(res.params)
-        row["pipeline"] = "box"
+        row["pipeline"] = pipeline
         row["objective_ber"] = res.objective
         rows = [row]
-        meta_extra["grid_trace"] = [[r, b] for r, b in res.grid_trace]
-    elif cfg.mode == "tune-quant":
-        res = optimize_quant(
-            cfg.params, cfg.target_snr_db, cfg.reg_grid, cfg.amp_grid
-        )
-        row = _theory_row(res.params)
-        row["pipeline"] = "quantized"
-        row["objective_ber"] = res.objective
-        rows = [row]
-        meta_extra["grid_trace"] = [
-            [[r, a], b] for (r, a), b in res.grid_trace
-        ]
+        meta_extra["grid_trace"] = res.grid_trace
     else:
         rows = _sweep_rows(cfg)
     columns = tuple(c for c in ALL_COLS if any(c in r for r in rows))
@@ -502,11 +390,6 @@ def _read_table(path: str) -> list[dict]:
         return [dict(zip(header, cells)) for cells in reader]
 
 
-def _cell_float(value) -> float:
-    # Accepts native numbers and the "inf"/"nan" strings emit uses.
-    return float(value)
-
-
 def verify_file(path: str, tol: float = 1e-12) -> list[str]:
     """Recompute each row's theory columns from its parameter columns.
 
@@ -518,20 +401,15 @@ def verify_file(path: str, tol: float = 1e-12) -> list[str]:
     problems: list[str] = []
     for i, row in enumerate(_read_table(path)):
         present = [
-            c
-            for c in _VERIFIABLE
-            if c in row and row[c] not in (None, "")
+            c for c in _VERIFIABLE if c in row and row[c] not in (None, "")
         ]
         if not present:
             continue
         try:
+            # float() also reads the "inf"/"nan" strings emit writes.
             kwargs = {
-                name: (
-                    int(row[name])
-                    if name == "n_antennas"
-                    else _cell_float(row[name])
-                )
-                for name in PARAM_COLS
+                name: int(row[name]) if name == "n_antennas" else float(row[name])
+                for name in _PARAM_FIELDS
             }
         except (KeyError, ValueError) as exc:
             problems.append(f"row {i}: unreadable params ({exc})")
@@ -541,10 +419,8 @@ def verify_file(path: str, tol: float = 1e-12) -> list[str]:
         except (DomainError, SolverError) as exc:
             problems.append(f"row {i}: recompute failed ({exc})")
             continue
-        for col in ALL_COLS:
-            if col not in present:
-                continue
-            got = _cell_float(row[col])
+        for col in present:
+            got = float(row[col])
             want = expected.get(col)
             if want is None:
                 problems.append(f"row {i}: {col} present but not recomputable")

@@ -10,7 +10,7 @@ the same report bit for bit.
 
 The pool size comes from the ``BOXPREC_WORKERS`` environment variable and
 defaults to the available parallelism; one worker short-circuits to a
-serial loop.
+serial loop, and a value that is not an integer is a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .precoder import PrecoderSolution, Realization, generate_realization, solve_box_qp
 from .saddle import SystemParams, solve_saddle
 from .theory import BoxTheory, QuantTheory, box_theory, quant_theory
@@ -179,7 +179,12 @@ def _worker_count(workers: int | None) -> int:
         return max(1, int(workers))
     env = os.environ.get("BOXPREC_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(
+                f"BOXPREC_WORKERS must be an integer, got {env!r}"
+            ) from None
     return os.cpu_count() or 1
 
 
@@ -205,47 +210,34 @@ def run_experiment(
             results = list(pool.map(_run_trial, tasks, chunksize=chunk))
     m = params.n_users
     bits = trials * m
-    err_box = sum(r.err_box for r in results)
-    sq_box = np.zeros(m)
-    for r in results:
-        sq_box += r.sq_box
-    sq_box /= trials
-    ber_box = err_box / bits
-    scale2_noise = box.rx_scale * box.rx_scale * params.noise_var
-    report_quant: dict[str, float | None] = dict.fromkeys(
-        (
-            "ber_quant",
-            "ber_quant_se",
-            "sdnr_lb_quant",
-            "sdnr_avg_quant",
-            "power_quant",
-            "w2_quant",
-        )
-    )
-    if quant is not None:
-        err_q = sum(r.err_quant for r in results)
-        sq_q = np.zeros(m)
+
+    def pooled(kind: str, theory, power: float) -> dict:
+        """The ``*_box`` or ``*_quant`` report fields of one pipeline."""
+        sq = np.zeros(m)
+        # A sequential fold in trial order: the emitted bytes depend on it.
         for r in results:
-            sq_q += r.sq_quant
-        sq_q /= trials
-        ber_q = err_q / bits
-        qscale2_noise = quant.rx_scale * quant.rx_scale * params.noise_var
-        report_quant = {
-            "ber_quant": ber_q,
-            "ber_quant_se": math.sqrt(ber_q * (1.0 - ber_q) / bits),
-            "sdnr_lb_quant": 1.0 / (float(np.mean(sq_q)) + qscale2_noise),
-            "sdnr_avg_quant": float(np.mean(1.0 / (sq_q + qscale2_noise))),
-            "power_quant": params.level * params.level,
-            "w2_quant": float(np.mean([r.w2_quant for r in results])),
+            sq += getattr(r, "sq_" + kind)
+        sq /= trials
+        ber = sum(getattr(r, "err_" + kind) for r in results) / bits
+        scale2_noise = theory.rx_scale * theory.rx_scale * params.noise_var
+        return {
+            f"ber_{kind}": ber,
+            f"ber_{kind}_se": math.sqrt(ber * (1.0 - ber) / bits),
+            f"sdnr_lb_{kind}": 1.0 / (float(np.mean(sq)) + scale2_noise),
+            f"sdnr_avg_{kind}": float(np.mean(1.0 / (sq + scale2_noise))),
+            f"power_{kind}": power,
+            f"w2_{kind}": float(np.mean([getattr(r, "w2_" + kind) for r in results])),
         }
+
+    if quant is None:
+        report_quant = dict.fromkeys(
+            f.name for f in fields(EmpiricalReport) if "_quant" in f.name
+        )
+    else:
+        report_quant = pooled("quant", quant, params.level * params.level)
     return EmpiricalReport(
         trials=trials,
         base_seed=base_seed,
-        ber_box=ber_box,
-        ber_box_se=math.sqrt(ber_box * (1.0 - ber_box) / bits),
-        sdnr_lb_box=1.0 / (float(np.mean(sq_box)) + scale2_noise),
-        sdnr_avg_box=float(np.mean(1.0 / (sq_box + scale2_noise))),
-        power_box=float(np.mean([r.power_box for r in results])),
-        w2_box=float(np.mean([r.w2_box for r in results])),
+        **pooled("box", box, float(np.mean([r.power_box for r in results]))),
         **report_quant,
     )

@@ -40,6 +40,51 @@ SIM = base_config(
 )
 SIM["params"]["n_antennas"] = 120
 
+# Public column order of a simulate table at unit target power.
+SIM_HEADER = (
+    "user_ratio,reg,amp,level,noise_var,target_power,n_antennas,tau,"
+    "beta,alpha,phi,residual_power,residual_beta,e_abs,e_sq,e_xh,"
+    "box_power,box_sig_coef,box_dist_std,box_sdnr_lb,box_ber,"
+    "box_rx_scale,quant_sig_coef,quant_dist_var,quant_sdnr_lb,"
+    "quant_ber,quant_rx_scale,buss_gain,buss_resid_var,buss_sig_coef,"
+    "buss_noise_var,buss_ber,emp_trials,emp_base_seed,emp_ber_box,"
+    "emp_ber_box_se,emp_sdnr_lb_box,emp_sdnr_avg_box,emp_power_box,"
+    "emp_w2_box,emp_ber_quant,emp_ber_quant_se,emp_sdnr_lb_quant,"
+    "emp_sdnr_avg_quant,emp_power_quant,emp_w2_quant"
+)
+
+
+def _mode_configs():
+    """One config per kind of table: each mode, the quant gate, amp = inf."""
+    rho2 = base_config()
+    rho2["params"]["target_power"] = 2.0
+    free = base_config()
+    free["params"]["amp"] = "inf"
+    tune_box = base_config("tune-box", target_snr_db=5.0, reg_grid=[1.0])
+    tune_box["params"]["amp"] = 2.0
+    tuned_sim = base_config(
+        "simulate",
+        trials=2,
+        base_seed=17,
+        sweep={"parameter": "noise_var", "values": [0.05]},
+        tuned="both",
+        target_snr_db=5.0,
+        reg_grid=[1.0],
+        amp_grid=[0.5],
+    )
+    tuned_sim["params"].update(amp=2.0, n_antennas=60)
+    return [
+        base_config("saddle"),
+        base_config(),
+        rho2,
+        free,
+        tune_box,
+        base_config(
+            "tune-quant", target_snr_db=5.0, reg_grid=[1.0], amp_grid=[0.5]
+        ),
+        tuned_sim,
+    ]
+
 
 def test_saddle_json_to_stdout(tmp_path, capsys):
     path = write_config(tmp_path, base_config("saddle"))
@@ -282,3 +327,32 @@ def test_module_entry_point():
     )
     assert proc.returncode == 2
     assert "config error" in proc.stderr
+
+
+def test_exit_2_on_malformed_worker_env(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BOXPREC_WORKERS", "abc")
+    path = write_config(tmp_path, SIM)
+    assert main(["run", "--config", path]) == 2
+    assert "BOXPREC_WORKERS" in capsys.readouterr().err
+
+
+def test_every_column_is_documented(monkeypatch):
+    # Rows are built from result dataclass fields, so a new field must
+    # also get a COLUMN_DOC line or it would be dropped from the table.
+    monkeypatch.setenv("BOXPREC_WORKERS", "1")
+    emitted = set()
+    for data in _mode_configs():
+        result = run(parse_config(data))
+        for row in result.rows:
+            assert set(row) <= set(cli.COLUMN_DOC), data["mode"]
+        emitted.update(result.columns)
+    assert emitted == set(cli.COLUMN_DOC)
+    assert "evaluations" not in emitted
+
+
+def test_simulate_csv_header_is_frozen(monkeypatch):
+    monkeypatch.setenv("BOXPREC_WORKERS", "1")
+    result = run(parse_config(SIM))
+    buf = io.StringIO()
+    emit_csv(result.rows, result.columns, buf)
+    assert buf.getvalue().splitlines()[0] == SIM_HEADER

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from boxprec import (
+    ConfigError,
     DomainError,
     SystemParams,
     box_theory,
@@ -13,7 +14,7 @@ from boxprec import (
     solve_box_qp,
     solve_saddle,
 )
-from boxprec.montecarlo import empirical_metrics, wasserstein2_to_theory
+from boxprec.montecarlo import _worker_count, empirical_metrics, wasserstein2_to_theory
 
 SMALL = dict(user_ratio=0.2, reg=1.0, amp=1.0, noise_var=0.09, n_antennas=200)
 
@@ -95,6 +96,16 @@ def test_worker_env_override(monkeypatch):
     p = SystemParams(user_ratio=0.25, reg=1.0, amp=1.0, noise_var=0.09, n_antennas=60)
     rep = run_experiment(p, trials=2, base_seed=3)
     assert rep.trials == 2
+
+
+def test_worker_env_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("BOXPREC_WORKERS", "abc")
+    p = SystemParams(user_ratio=0.25, reg=1.0, amp=1.0, noise_var=0.09, n_antennas=60)
+    with pytest.raises(ConfigError, match="BOXPREC_WORKERS.*'abc'"):
+        run_experiment(p, trials=2, base_seed=3)
+    # Nonpositive counts still clamp to a serial run.
+    monkeypatch.setenv("BOXPREC_WORKERS", "0")
+    assert _worker_count(None) == 1
 
 
 def test_jensen_ordering_on_reports():

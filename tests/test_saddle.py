@@ -32,14 +32,15 @@ def test_unconstrained_ridge_free_closed_form():
 
 
 def test_frozen_fixture_point():
+    # Quantities derived from the pinned point's mpmath solution (50
+    # significant digits, inputs taken as their binary doubles), rounded
+    # to double.
     sp = solve_saddle(SystemParams(**PINNED))
-    assert math.isclose(sp.tau, 2.2883074971646713, rel_tol=1e-12)
-    assert math.isclose(sp.beta, 0.48048866370462723, rel_tol=1e-12)
-    assert math.isclose(sp.alpha, 4.5994333138920087, rel_tol=1e-12)
-    assert math.isclose(sp.phi, 0.10498757930249759, rel_tol=1e-12)
-    assert math.isclose(sp.moments.e_abs, 0.17347435147600324, rel_tol=1e-12)
-    assert math.isclose(sp.moments.e_sq, 0.047270240315387159, rel_tol=1e-12)
-    assert math.isclose(sp.moments.e_xh, 0.21741716758059762, rel_tol=1e-12)
+    assert math.isclose(sp.alpha, 4.599433313891368, rel_tol=1e-14)
+    assert math.isclose(sp.phi, 0.1049875793024976, rel_tol=1e-14)
+    assert math.isclose(sp.moments.e_abs, 0.17347435147602736, rel_tol=1e-14)
+    assert math.isclose(sp.moments.e_sq, 0.04727024031540033, rel_tol=1e-14)
+    assert math.isclose(sp.moments.e_xh, 0.2174171675806279, rel_tol=1e-14)
 
 
 def test_pinned_point_matches_high_precision_solution():

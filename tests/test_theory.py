@@ -22,15 +22,22 @@ def pinned():
     return p, solve_saddle(p)
 
 
+# The box, quantized and Bussgang fixtures at the pinned point are exact
+# values: the saddle system was solved with mpmath at 50 significant
+# digits (inputs taken as their binary doubles), the closed forms were
+# evaluated at that precision, and the results were rounded to double.
+
+
 def test_box_frozen_fixture():
     p, sp = pinned()
     bt = box_theory(p, sp)
-    assert math.isclose(bt.power, 0.0472702403140699, rel_tol=1e-10)
-    assert math.isclose(bt.sig_coef, 0.47506108302741268, rel_tol=1e-12)
-    assert math.isclose(bt.dist_std, 0.11413075125961042, rel_tol=1e-10)
-    assert math.isclose(bt.sdnr_lb, 2.190548099919337, rel_tol=1e-10)
-    assert math.isclose(bt.ber, 0.069429947423845187, rel_tol=1e-10)
-    assert math.isclose(bt.rx_scale, 2.1049924646054339, rel_tol=1e-12)
+    # power and dist_std go through delta tau^2 - rho, which cancels.
+    assert math.isclose(bt.power, 0.04727024031540033, rel_tol=1e-13)
+    assert math.isclose(bt.sig_coef, 0.4750610830277004, rel_tol=1e-14)
+    assert math.isclose(bt.dist_std, 0.114130751261154, rel_tol=1e-13)
+    assert math.isclose(bt.sdnr_lb, 2.1905480999144986, rel_tol=1e-14)
+    assert math.isclose(bt.ber, 0.06942994742406328, rel_tol=1e-14)
+    assert math.isclose(bt.rx_scale, 2.104992464604159, rel_tol=1e-14)
 
 
 def test_box_internal_identities():
@@ -43,12 +50,6 @@ def test_box_internal_identities():
     # Transmit power is the squared dispersion in excess of the target.
     assert math.isclose(bt.power, p.user_ratio * sp.tau**2 - p.target_power, rel_tol=1e-9)
     assert math.isclose(bt.power, sp.moments.e_sq, rel_tol=1e-9)
-
-
-# The quantized and Bussgang fixtures at the pinned point are exact
-# values: the saddle system was solved with mpmath at 50 significant
-# digits (inputs taken as their binary doubles), the closed forms were
-# evaluated at that precision, and the results were rounded to double.
 
 
 def test_quant_frozen_fixture():
