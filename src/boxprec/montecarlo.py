@@ -4,21 +4,36 @@ Each trial draws a fresh realization (seed = ``base_seed + trial index``),
 solves the box QP, quantizes, and measures error rates, per-user
 distortion, transmit power, and the Wasserstein-2 distance between the
 empirical distortion-symbol law and its predicted Gaussian mixture.
-Trials run on a bounded worker pool; aggregation is a deterministic fold
-in trial order, so a (params, trials, base_seed) triple always produces
-the same report bit for bit.
+Aggregation is a deterministic fold in trial order, so a (params, trials,
+base_seed) triple always produces the same report bit for bit in a fixed
+environment.
+
+Trials run on one process pool per interpreter, built on the first pooled
+call and reused by later calls with the same worker count.  Its workers
+are spawned with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` set to 1 (the caller's environment is restored
+afterwards), so pooled reports do not depend on the caller's BLAS thread
+setting; a serial run follows the process's own.  Spawned workers
+re-import the caller's ``__main__``: a script that runs experiments needs
+an ``if __name__ == "__main__":`` guard, or the pool fails with
+``BrokenProcessPool``.  A broken pool is dropped and rebuilt on the next
+call.
 
 The pool size comes from the ``BOXPREC_WORKERS`` environment variable and
-defaults to the available parallelism; one worker short-circuits to a
-serial loop, and a value that is not an integer is a ``ConfigError``.
+defaults to the available parallelism; one worker (or one trial)
+short-circuits to a serial loop in the calling process, and a value that
+is not an integer is a ``ConfigError``.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -188,6 +203,46 @@ def _worker_count(workers: int | None) -> int:
     return os.cpu_count() or 1
 
 
+# BLAS thread variables pinned to 1 while pool workers start.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The process-wide pool and its worker count, built on first use; the lock
+# guards both and the environment edit around worker start-up.
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
+
+def _run_pooled(tasks: list, nworkers: int) -> list[TrialMetrics]:
+    """Run the trials on the process-wide pool of ``nworkers`` workers."""
+    global _pool, _pool_workers
+    with _pool_lock:
+        if _pool is None or _pool_workers != nworkers:
+            if _pool is not None:
+                _pool.shutdown()
+            _pool = ProcessPoolExecutor(
+                nworkers, mp_context=multiprocessing.get_context("spawn")
+            )
+            _pool_workers = nworkers
+        saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+        try:
+            # Spawned workers start inside ``submit``, which ``map`` calls
+            # for every chunk before it returns; they read BLAS threads here.
+            os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+            try:
+                chunk = max(1, len(tasks) // (4 * nworkers))
+                results = _pool.map(_run_trial, tasks, chunksize=chunk)
+            finally:
+                for k, v in saved.items():
+                    if v is None:
+                        os.environ.pop(k, None)
+                    else:
+                        os.environ[k] = v
+            return list(results)
+        except BrokenProcessPool:
+            _pool = None
+            raise
+
+
 def run_experiment(
     params: SystemParams,
     trials: int,
@@ -205,9 +260,7 @@ def run_experiment(
     if nworkers == 1 or trials == 1:
         results = [_run_trial(t) for t in tasks]
     else:
-        chunk = max(1, trials // (4 * nworkers))
-        with ProcessPoolExecutor(max_workers=min(nworkers, trials)) as pool:
-            results = list(pool.map(_run_trial, tasks, chunksize=chunk))
+        results = _run_pooled(tasks, nworkers)
     m = params.n_users
     bits = trials * m
 

@@ -356,3 +356,44 @@ def test_simulate_csv_header_is_frozen(monkeypatch):
     buf = io.StringIO()
     emit_csv(result.rows, result.columns, buf)
     assert buf.getvalue().splitlines()[0] == SIM_HEADER
+
+
+def test_pooled_csv_is_independent_of_blas_threads(tmp_path):
+    # fig3 size, at box sizes where the active-set polish runs: its gram
+    # and LAPACK solves round differently with 1 and 2 BLAS threads.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import boxprec
+    from boxprec.presets import preset_config
+
+    data = preset_config("fig3")
+    data["sweep"]["values"] = [v for v in data["sweep"]["values"] if v >= 2.15][:3]
+    data["trials"] = 2
+    path = write_config(tmp_path, data)
+    src = str(Path(boxprec.__file__).parents[1])
+    base = {
+        k: v for k, v in os.environ.items()
+        if k not in ("BOXPREC_WORKERS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+    }
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+
+    def csv_bytes(workers, blas_threads):
+        out = tmp_path / f"w{workers}-b{blas_threads}.csv"
+        env = dict(base, BOXPREC_WORKERS=str(workers),
+                   OPENBLAS_NUM_THREADS=str(blas_threads),
+                   OMP_NUM_THREADS=str(blas_threads))
+        proc = subprocess.run(
+            [sys.executable, "-m", "boxprec", "run", "--config", path,
+             "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return out.read_bytes()
+
+    serial = csv_bytes(1, 1)
+    assert csv_bytes(2, 1) == serial
+    assert csv_bytes(2, 2) == serial

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from boxprec import (
     solve_box_qp,
     solve_saddle,
 )
+from boxprec import montecarlo
 from boxprec.montecarlo import _worker_count, empirical_metrics, wasserstein2_to_theory
 
 SMALL = dict(user_ratio=0.2, reg=1.0, amp=1.0, noise_var=0.09, n_antennas=200)
@@ -89,6 +93,39 @@ def test_worker_pool_matches_serial_fold():
     serial = run_experiment(p, trials=4, base_seed=11, workers=1)
     pooled = run_experiment(p, trials=4, base_seed=11, workers=2)
     assert serial == pooled
+
+
+def test_pooled_call_restores_blas_env(monkeypatch):
+    # Workers start with one BLAS thread; the caller's settings survive.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    p = SystemParams(user_ratio=0.25, reg=1.0, amp=1.0, noise_var=0.09, n_antennas=60)
+    run_experiment(p, trials=2, base_seed=3, workers=2)
+    assert dict(os.environ) == before
+
+
+def test_pooled_calls_reuse_one_executor():
+    p = SystemParams(user_ratio=0.25, reg=1.0, amp=1.0, noise_var=0.09, n_antennas=60)
+    run_experiment(p, trials=2, base_seed=3, workers=2)
+    pool = montecarlo._pool
+    run_experiment(p, trials=3, base_seed=4, workers=2)
+    assert montecarlo._pool is pool
+
+
+def test_broken_executor_is_replaced():
+    p = SystemParams(user_ratio=0.25, reg=1.0, amp=1.0, noise_var=0.09, n_antennas=80)
+    serial = run_experiment(p, trials=4, base_seed=11, workers=1)
+    run_experiment(p, trials=4, base_seed=11, workers=2)
+    broken = montecarlo._pool
+    for proc in multiprocessing.active_children():
+        proc.kill()
+        proc.join()
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(p, trials=4, base_seed=11, workers=2)
+    assert run_experiment(p, trials=4, base_seed=11, workers=2) == serial
+    assert montecarlo._pool is not broken
 
 
 def test_worker_env_override(monkeypatch):
