@@ -12,7 +12,7 @@ class DomainError(BoxprecError, ValueError):
 
 
 class SolverError(BoxprecError, RuntimeError):
-    """An iterative solver failed to bracket or converge."""
+    """An iterative solver failed to converge or to meet its residual contract."""
 
 
 class ConfigError(BoxprecError, ValueError):

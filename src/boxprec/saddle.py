@@ -12,29 +12,35 @@ with ``X = clamp(H / alpha, [-amp, amp])`` and
 ``alpha = 1/tau + 2 reg / beta``.  Every asymptotic performance metric in
 :mod:`boxprec.theory` is a closed-form function of this pair.
 
-The solver is a safeguarded Newton method in two levels, with the
-derivatives in closed form: with ``t = amp alpha`` and ``m2(t) =
-E[H^2 ; |H| <= t]``, ``dE[X^2]/dalpha = -2 m2 / alpha^3`` and
-``dE[H X]/dalpha = -m2 / alpha^2``, so one moment evaluation gives both
-residuals and their slopes.  The inner level resolves ``beta`` for a given
-``tau`` inside ``(0, 2 tau user_ratio]``, where the defining residual is
-strictly increasing, starting from the previous outer step's ``beta``.
-The outer level drives the power residual ``tau^2 user_ratio -
-target_power - E[X^2]`` to zero inside ``[sqrt(target_power /
-user_ratio), hi]``, with the implicit slope ``dbeta/dtau`` of the inner
-solution; ``hi`` is the first iterate with a positive residual.  A Newton
-step that would leave its bracket becomes a bisection step (a doubling
-while ``hi`` is unknown).  Both levels stop when the residual is at
-rounding level relative to its own scale, or when a step is below 1e-15
+The solver works in ``alpha`` alone.  At a fixed ``alpha`` the moments of
+``X`` are fixed, and the beta equation and the definition of ``alpha``
+give ``tau`` and ``beta`` in closed form: with ``u = alpha tau - 1`` and
+``c = user_ratio - alpha E[H X] - reg`` they reduce to ``user_ratio u^2 +
+c u - reg = 0``, whose nonnegative root is taken in a form free of
+cancellation (``reg = 0`` gives ``u = 0``).  What remains is the power
+equation ``user_ratio tau(alpha)^2 - target_power - E[X^2](alpha) = 0``,
+whose left side falls from ``+inf`` at ``alpha -> 0`` to
+``-target_power`` at ``alpha -> inf``.  A safeguarded Newton iteration
+solves it, with the derivatives in closed form: with ``t = amp alpha``
+and ``m2(t) = E[H^2 ; |H| <= t]``, ``dE[X^2]/dalpha = -2 m2 / alpha^3``
+and ``dE[H X]/dalpha = -m2 / alpha^2``, so one moment evaluation gives
+the residual and its slope.  The start is the exact root without the
+box.  A Newton step that would leave the bracket of known signs becomes
+a bisection step (a doubling while no negative residual is known).  The
+iteration stops when the residual is at rounding level, 1e-15 of
+``target_power + user_ratio tau^2``, or when a step is below 1e-15
 relative, and the returned point is checked against the 1e-9 contract on
-both residuals.  Existence and uniqueness hold whenever ``reg > 0``, or
-``reg = 0`` with ``user_ratio >= 1``; the constructor of
-:class:`SystemParams` enforces exactly that.
+both residuals.  :func:`boxprec.tuning.tune_target_power` uses the same
+iteration, since the transmit power at the saddle is ``E[X^2](alpha)``.
+Existence and uniqueness hold whenever ``reg > 0``, or ``reg = 0`` with
+``user_ratio >= 1``; the constructor of :class:`SystemParams` enforces
+exactly that.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DomainError, SolverError
@@ -105,7 +111,8 @@ class SystemParams:
             raise DomainError(
                 f"target_power must be positive, got {self.target_power!r}"
             )
-        if not (isinstance(self.n_antennas, int) and self.n_antennas >= 1):
+        n = self.n_antennas
+        if isinstance(n, bool) or not (isinstance(n, int) and n >= 1):
             raise DomainError(f"n_antennas must be a positive int, got {self.n_antennas!r}")
         if self.reg == 0.0 and self.user_ratio < 1.0:
             raise DomainError(
@@ -192,6 +199,69 @@ def saddle_residuals(
     return alpha, mom, res_power, res_beta
 
 
+def _require_unique(params: SystemParams) -> None:
+    if params.reg == 0.0 and params.user_ratio == 1.0 and math.isinf(params.amp):
+        raise DomainError("reg = 0, user_ratio = 1, amp = inf has no unique saddle point")
+
+
+def _tau_beta(
+    alpha: float, e_xh: float, m2: float, params: SystemParams
+) -> tuple[float, float, float]:
+    """``(tau, beta, dtau/dalpha)`` solving the beta and alpha equations at ``alpha``.
+
+    With ``delta = user_ratio``, ``u = alpha tau - 1 >= 0`` and ``c = delta
+    - alpha E[H X] - reg`` the two equations reduce to ``delta u^2 + c u -
+    reg = 0``; each branch takes the root and ``beta`` in a form free of
+    cancellation.  ``e_xh`` and ``m2`` are ``E[H X]`` and ``m2(amp alpha)``
+    at ``alpha``.
+    """
+    delta = params.user_ratio
+    reg = params.reg
+    c = delta - alpha * e_xh - reg
+    if reg == 0.0:
+        return 1.0 / alpha, 2.0 * c / alpha, -1.0 / (alpha * alpha)
+    root = math.sqrt(c * c + 4.0 * delta * reg)
+    if c >= 0.0:
+        u = 2.0 * reg / (c + root)
+        beta = 2.0 * (c + reg + delta * u) / alpha
+    else:
+        u = (root - c) / (2.0 * delta)
+        beta = 2.0 * reg * (1.0 + u) / (alpha * u)
+    tau = (1.0 + u) / alpha
+    # dc/dalpha = m2/alpha - E[H X], and the quadratic's slope in u is root.
+    return tau, beta, (u * (e_xh - m2 / alpha) / root - tau) / alpha
+
+
+def _falling_root(
+    f: Callable[[float], tuple[float, float, float]], alpha: float
+) -> None:
+    """Root in ``alpha > 0`` of a function falling from positive to negative.
+
+    ``f(alpha)`` returns ``(value, slope, scale)``.  Safeguarded Newton from
+    ``alpha`` inside the bracket ``(0, inf)``: a step that would leave the
+    bracket becomes a bisection step (a doubling while no negative value is
+    known).  Stops when ``|value| <= 1e-15 scale`` or a step is below 1e-15
+    relative; the last call of ``f`` is then at the root, so callers keep
+    what they need from it.
+    """
+    lo, hi = 0.0, math.inf
+    for _ in range(_MAX_ITER):
+        value, slope, scale = f(alpha)
+        if abs(value) <= 1e-15 * scale:
+            return
+        if value > 0.0:
+            lo = alpha
+        else:
+            hi = alpha
+        new = alpha - value / slope if slope < 0.0 else math.nan
+        if not lo < new < hi:
+            new = 2.0 * lo if math.isinf(hi) else 0.5 * (lo + hi)
+        if abs(new - alpha) <= _STEP_TOL * alpha:
+            return
+        alpha = new
+    raise SolverError(f"alpha iteration did not converge (residual {value:.3e})")
+
+
 def solve_saddle(params: SystemParams) -> SaddlePoint:
     """Solve the scalar saddle-point system for ``params``.
 
@@ -201,104 +271,30 @@ def solve_saddle(params: SystemParams) -> SaddlePoint:
         For the degenerate point ``reg = 0, user_ratio = 1, amp = inf``
         where the saddle point is not unique.
     SolverError
-        If bracketing fails, an iteration budget runs out, or the final
-        residuals exceed 1e-9; the message carries the residuals.
+        If the iteration budget runs out or the final residuals exceed
+        1e-9; the message carries the residuals.
     """
-    if params.reg == 0.0 and params.user_ratio == 1.0 and math.isinf(params.amp):
-        raise DomainError(
-            "reg = 0, user_ratio = 1, amp = inf has no unique saddle point"
-        )
+    _require_unique(params)
     delta = params.user_ratio
     rho = params.target_power
-    reg = params.reg
-    amp = params.amp
-    evaluations = 0
+    points: list[tuple[float, float]] = []
 
-    def beta_for_tau(tau: float, beta: float) -> tuple[float, float, float, float]:
-        """Newton on ``beta - 2 tau delta + 2 E[H X]`` within ``(0, 2 tau delta]``.
+    def power_residual(alpha: float) -> tuple[float, float, float]:
+        e_sq, e_xh, m2 = _clip_sq_xh_m2(alpha, params.amp)
+        tau, beta, dtau = _tau_beta(alpha, e_xh, m2, params)
+        points.append((tau, beta))
+        res = delta * tau * tau - rho - e_sq
+        slope = 2.0 * delta * tau * dtau + 2.0 * m2 / (alpha * alpha * alpha)
+        return res, slope, rho + delta * tau * tau
 
-        Starts from ``beta``; returns ``(beta, alpha, E[X^2], m2)``.
-        """
-        nonlocal evaluations
-        two_td = 2.0 * tau * delta
-        if reg == 0.0:
-            evaluations += 1
-            alpha = 1.0 / tau
-            e_sq, e_xh, m2 = _clip_sq_xh_m2(alpha, amp)
-            return two_td - 2.0 * e_xh, alpha, e_sq, m2
-        # The residual is -2 tau delta at beta -> 0, 2 E[H X] > 0 at
-        # beta = 2 tau delta, and strictly increasing in between.
-        lo, hi = 0.0, two_td
-        if not lo < beta < hi:
-            beta = 0.5 * hi
-        tol = 4e-16 * two_td
-        for _ in range(_MAX_ITER):
-            evaluations += 1
-            alpha = _alpha_of(tau, beta, params)
-            e_sq, e_xh, m2 = _clip_sq_xh_m2(alpha, amp)
-            res = beta - two_td + 2.0 * e_xh
-            if abs(res) <= tol:
-                return beta, alpha, e_sq, m2
-            if res < 0.0:
-                lo = beta
-            else:
-                hi = beta
-            step = res / (1.0 + 4.0 * reg * m2 / (alpha * alpha * beta * beta))
-            if abs(step) <= _STEP_TOL * beta:
-                return beta, alpha, e_sq, m2
-            beta -= step
-            if not lo < beta < hi:
-                beta = 0.5 * (lo + hi)
-        raise SolverError(
-            f"beta iteration did not converge at tau={tau!r} (residual {res:.3e})"
-        )
-
-    def power_residual(tau: float, beta: float) -> tuple[float, float, float]:
-        """``(residual, d residual / d tau, beta)`` along ``beta(tau)``."""
-        beta, alpha, e_sq, m2 = beta_for_tau(tau, beta)
-        res = tau * tau * delta - rho - e_sq
-        # Implicit derivative: the beta residual stays at zero as tau moves.
-        a2 = alpha * alpha
-        tau2 = tau * tau
-        slope = 2.0 * tau * delta - 2.0 * m2 / (a2 * alpha * tau2)
-        if reg != 0.0:
-            b2 = beta * beta
-            dbeta = (2.0 * delta - 2.0 * m2 / (a2 * tau2)) / (
-                1.0 + 4.0 * reg * m2 / (a2 * b2)
-            )
-            slope -= 4.0 * reg * m2 / (a2 * alpha * b2) * dbeta
-        return res, slope, beta
-
-    floor = math.sqrt(rho / delta)
-    tau = floor * (1.0 + 1e-12)
-    # Any first beta inside (0, 2 tau delta) works; later inner solves
-    # start from the previous one.
-    res, slope, beta = power_residual(tau, 0.5 * tau * delta)
-    if res > 0.0:
-        # E[X^2] below bracketing resolution: solution sits at the floor.
-        if res < 1e-9:
-            return _assemble(tau, beta, params, evaluations)
-        raise SolverError(f"power residual positive at lower bracket: {res:.3e}")
-    # The power residual is increasing in tau; hi stays infinite until a
-    # point with a positive residual is found.
-    lo, hi = tau, math.inf
-    for _ in range(_MAX_ITER):
-        if abs(res) <= 1e-15 * (rho + delta * tau * tau):
-            return _assemble(tau, beta, params, evaluations)
-        if res < 0.0:
-            lo = tau
-        else:
-            hi = tau
-        new = tau - res / slope if slope > 0.0 else math.nan
-        if not lo < new < hi:
-            new = 2.0 * lo if math.isinf(hi) else 0.5 * (lo + hi)
-        if abs(new - tau) <= _STEP_TOL * tau:
-            return _assemble(tau, beta, params, evaluations)
-        tau = new
-        res, slope, beta = power_residual(tau, beta)
-    if math.isinf(hi):
-        raise SolverError(f"failed to bracket tau; residual at {tau:.3e} still negative")
-    raise SolverError(f"tau iteration did not converge (power residual {res:.3e})")
+    # Without the box E[X^2] = 1/alpha^2 and u does not depend on alpha, so
+    # the residual is free/alpha^2 - rho and this start is its exact root;
+    # free = 0 only at user_ratio = 1 without a ridge.
+    tau_free = _tau_beta(1.0, 1.0, 1.0, params)[0]
+    free = delta * tau_free * tau_free - 1.0
+    _falling_root(power_residual, math.sqrt(free / rho) if free > 0.0 else 1.0)
+    tau, beta = points[-1]
+    return _assemble(tau, beta, params, len(points))
 
 
 def _assemble(

@@ -14,10 +14,16 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, SolverError
-from .saddle import SystemParams, solve_saddle
+from .moments import _clip_sq_xh_m2
+from .saddle import (
+    SystemParams,
+    _falling_root,
+    _require_unique,
+    _tau_beta,
+    solve_saddle,
+)
 from .theory import box_theory, quant_theory
 
 __all__ = [
@@ -29,7 +35,6 @@ __all__ = [
 ]
 
 _POWER_TOL = 1e-8
-_MAX_EXPAND = 200
 _DEFAULT_REG_GRID = tuple(np.logspace(-3.0, 2.0, 15))
 _DEFAULT_AMP_GRID = tuple(np.logspace(math.log10(5e-2), math.log10(2e1), 25))
 
@@ -63,10 +68,18 @@ def tune_level_for_snr(noise_var: float, snr_tx_db: float) -> float:
 def tune_target_power(params: SystemParams, power: float) -> TuneResult:
     """Find the target constellation power reaching transmit power ``power``.
 
-    Solves ``user_ratio * tau(rho)^2 - rho = power`` for
-    ``rho = target_power`` by bracketed Brent iteration; the residual of
-    the returned point is below 1e-8.  With a finite box the transmit
-    power saturates at ``amp^2``, so ``power`` must stay below it.
+    At the saddle the per-antenna transmit power ``user_ratio * tau^2 -
+    rho`` equals ``E[X^2](alpha)``, which falls from ``amp^2`` to 0 as
+    ``alpha`` grows.  So the saddle solver's safeguarded Newton iteration
+    in ``alpha`` solves ``E[X^2](alpha) = power``: each iterate is the
+    exact saddle of ``rho(alpha) = user_ratio * tau(alpha)^2 - E[X^2]``,
+    the trace records those ``(rho, power)`` pairs, and the last one's
+    ``rho`` is returned after a re-solve puts its power residual below
+    1e-8.  With a finite box the transmit power saturates at ``amp^2``, so
+    ``power`` must stay below it.  At very large ``reg / user_ratio`` the
+    needed ``rho`` can pass 1e7, where rounding alone (``eps * rho``)
+    exceeds the 1e-9 residual contract of :func:`solve_saddle` and the
+    re-solve raises :class:`SolverError`.
     """
     if not (math.isfinite(power) and power > 0.0):
         raise DomainError(f"power must be positive and finite, got {power!r}")
@@ -75,48 +88,29 @@ def tune_target_power(params: SystemParams, power: float) -> TuneResult:
             f"requested power {power} is not reachable under amp={params.amp} "
             f"(per-antenna power saturates at {params.amp ** 2})"
         )
+    _require_unique(params)
+    delta = params.user_ratio
     evals: list[tuple[float, float]] = []
 
-    def achieved(rho: float) -> float:
-        p = replace(params, target_power=rho)
-        sp = solve_saddle(p)
-        got = p.user_ratio * sp.tau * sp.tau - rho
-        evals.append((rho, got))
-        return got
+    def power_gap(alpha: float) -> tuple[float, float, float]:
+        e_sq, e_xh, m2 = _clip_sq_xh_m2(alpha, params.amp)
+        tau = _tau_beta(alpha, e_xh, m2, params)[0]
+        evals.append((delta * tau * tau - e_sq, e_sq))
+        return e_sq - power, -2.0 * m2 / (alpha * alpha * alpha), power
 
-    lo = min(power, 1.0)
-    for _ in range(_MAX_EXPAND):
-        if achieved(lo) < power:
-            break
-        lo *= 0.5
-    else:
-        raise SolverError("failed to bracket target power from below")
-    hi = max(power, 1.0)
-    for _ in range(_MAX_EXPAND):
-        if achieved(hi) > power:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError(
-            f"failed to bracket target power from above (amp={params.amp})"
-        )
-    root = float(
-        brentq(
-            lambda rho: achieved(rho) - power,
-            lo,
-            hi,
-            xtol=1e-12 * max(1.0, hi),
-            rtol=1e-14,
-            maxiter=200,
-        )
-    )
+    # E[X^2] <= 1/alpha^2, with equality without the box.
+    _falling_root(power_gap, 1.0 / math.sqrt(power))
+    root = evals[-1][0]
+    if not root > 0.0:
+        # At user_ratio = 1 without a ridge rho(alpha) falls like a
+        # Gaussian tail, below rounding at small power.
+        raise SolverError(f"power {power} needs a target power below resolution")
     tuned = replace(params, target_power=root)
-    got = tuned.user_ratio * solve_saddle(tuned).tau ** 2 - root
+    got = delta * solve_saddle(tuned).tau ** 2 - root
     if abs(got - power) > _POWER_TOL:
         raise SolverError(
             f"power residual {got - power:.3e} exceeds {_POWER_TOL} at rho={root}"
         )
-    evals.append((root, got))
     trace = tuple(sorted(dict(evals).items()))
     return TuneResult(params=tuned, objective=got, grid_trace=trace)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from boxprec import DomainError, SystemParams, solve_saddle
 from boxprec.moments import clip_moments
+from boxprec.presets import FIG3_REG
 from boxprec.saddle import phi_value
 
 from oracles import saddle_by_fixed_point
@@ -51,6 +52,23 @@ def test_pinned_point_matches_high_precision_solution():
     assert math.isclose(sp.beta, 0.48048866370434698168, rel_tol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "amp, tau, beta",
+    [
+        (0.1, 2.2469555826857992763, 0.73925862535066744526),
+        (10.0, 2.4992208196032882674, 0.0012476615467048228446),
+    ],
+)
+def test_fig3_extreme_boxes_match_high_precision_solution(amp, tau, beta):
+    # fig3's tightest and loosest box, solved with mpmath at 50 significant
+    # digits from binary-double inputs.  At amp = 10 beta is small next to
+    # 2 tau user_ratio, so computing it as 2 tau user_ratio - 2 E[H X]
+    # loses digits.
+    sp = solve_saddle(SystemParams(user_ratio=0.2, reg=FIG3_REG, amp=amp))
+    assert math.isclose(sp.tau, tau, rel_tol=1e-14)
+    assert math.isclose(sp.beta, beta, rel_tol=1e-14)
+
+
 def test_alpha_ties_tau_and_beta():
     sp = solve_saddle(SystemParams(**PINNED))
     assert math.isclose(sp.alpha, 1.0 / sp.tau + 2.0 * 1.0 / sp.beta, rel_tol=1e-14)
@@ -89,7 +107,7 @@ def test_residuals_below_tolerance_over_the_domain(user_ratio, reg, amp, target_
 
 def test_evaluation_count_bounded_on_criterion_01_grid():
     # Same draws as acceptance criterion 01.  The Newton iteration needs
-    # at most 37 moment evaluations there; a slide back to bisection
+    # at most 10 moment evaluations there; a slide back to bisection
     # would need hundreds.
     rng = np.random.default_rng(20260822)
     counts = [
@@ -213,6 +231,9 @@ def test_rejects_nonsense_parameters():
         SystemParams(user_ratio=0.2, reg=1.0, amp=1.0, noise_var=-0.1)
     with pytest.raises(DomainError):
         SystemParams(user_ratio=1e-9, reg=1.0, amp=1.0, n_antennas=100)
+    # bool is an int subclass; True would silently mean one antenna.
+    with pytest.raises(DomainError):
+        SystemParams(user_ratio=0.2, reg=1.0, amp=1.0, n_antennas=True)
 
 
 def test_user_count_rounds_from_ratio():

@@ -1,7 +1,11 @@
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from boxprec import (
     DomainError,
@@ -50,6 +54,72 @@ def test_power_tuning_trace_is_monotone():
         assert b >= a - 1e-12
 
 
+# E[min(H^2, 1)] for standard normal H.
+_KAPPA = 1.0 - 2.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi)
+
+
+def _needed_rho_bound(user_ratio, reg, amp, power):
+    """Upper bound on the target power that reaches transmit ``power``.
+
+    At the saddle ``rho = user_ratio tau^2 - power`` with ``tau = (1 + u) /
+    alpha``.  ``u`` is largest where the box does not bind (``alpha E[H X]
+    = 1``), so ``delta u^2 + (delta - 1 - reg) u - reg = 0`` bounds it.
+    ``alpha`` solves ``E[X^2](alpha) = power``, and ``1/alpha^2`` is bounded
+    twice: ``E[X^2] >= kappa min(1/alpha^2, amp^2)`` with ``kappa = E[min(H^2,
+    1)]``, and ``E[X^2] >= P(|H| > amp alpha) >= 1 - sqrt(2/pi) amp alpha``.
+    """
+    c = user_ratio - 1.0 - reg
+    u = (math.sqrt(c * c + 4.0 * user_ratio * reg) - c) / (2.0 * user_ratio)
+    inv_alpha_sq = power / _KAPPA if power < _KAPPA * amp * amp else math.inf
+    if math.isfinite(amp):
+        share = power / (amp * amp)
+        inv_alpha_sq = min(inv_alpha_sq, 2.0 * amp * amp / (math.pi * (1.0 - share) ** 2))
+    return user_ratio * (1.0 + u) ** 2 * inv_alpha_sq
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    user_ratio=st.floats(min_value=0.05, max_value=3.0),
+    reg=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e2)),
+    amp=st.one_of(st.floats(min_value=0.05, max_value=20.0), st.just(math.inf)),
+    share=st.floats(min_value=1e-3, max_value=0.99),
+)
+def test_power_tuning_over_the_domain(user_ratio, reg, amp, share):
+    # The requested power is a share of amp^2 (of 100 without a box).
+    # Draws whose needed rho could pass 1e4 are skipped by the closed-form
+    # bound above, which keeps them inside the saddle solver's tested
+    # target_power range; beyond about 1e7 rounding alone breaks the 1e-9
+    # residual contract.  Without a ridge the needed rho is at least
+    # (user_ratio - 1) power; at user_ratio = 1 it vanishes like a Gaussian
+    # tail (amp 1, power 1/64: rho 3.8e-17), where the power no longer
+    # resolves it, so reg = 0 is drawn only with user_ratio >= 1.001.
+    assume(reg > 0.0 or user_ratio >= 1.001)
+    power = share * (amp * amp if math.isfinite(amp) else 100.0)
+    assume(_needed_rho_bound(user_ratio, reg, amp, power) <= 1e4)
+    res = tune_target_power(SystemParams(user_ratio=user_ratio, reg=reg, amp=amp), power)
+    p = res.params
+    achieved = p.user_ratio * solve_saddle(p).tau ** 2 - p.target_power
+    assert abs(achieved - power) <= 1e-8
+    rhos = [r for r, _ in res.grid_trace]
+    powers = [w for _, w in res.grid_trace]
+    assert rhos == sorted(rhos)
+    # A power read as user_ratio tau^2 - rho carries rounding of order
+    # eps rho.
+    slack = 1e-14 * (1.0 + rhos[-1])
+    for a, b in zip(powers, powers[1:]):
+        assert b >= a - slack
+
+
+def test_import_does_not_load_scipy_optimize():
+    # Power inversion needs no generic root finder; every process that
+    # imports the package, pool workers included, is spared its load.
+    code = "import sys, boxprec; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
+
+
 def test_power_tuning_rejects_saturation():
     with pytest.raises(DomainError):
         tune_target_power(BASE, 1.0)
@@ -59,6 +129,17 @@ def test_power_tuning_rejects_saturation():
         tune_target_power(BASE, math.inf)
     with pytest.raises(DomainError):
         tune_target_power(BASE, 0.0)
+
+
+def test_power_tuning_at_unit_load_without_ridge():
+    with pytest.raises(DomainError):
+        tune_target_power(SystemParams(user_ratio=1.0, reg=0.0, amp=math.inf), 0.5)
+    # With a box the needed rho falls like a Gaussian tail in power; at
+    # 1/128 of amp^2 it is below what user_ratio tau^2 - E[X^2] resolves.
+    edge = SystemParams(user_ratio=1.0, reg=0.0, amp=1.0)
+    assert tune_target_power(edge, 0.3).params.target_power > 0.0
+    with pytest.raises(SolverError):
+        tune_target_power(edge, 1.0 / 128.0)
 
 
 def test_power_tuning_unbounded_box_reaches_any_power():
