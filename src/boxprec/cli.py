@@ -215,7 +215,9 @@ def _environment() -> dict:
     """Library builds behind the emitted floats.
 
     Empirical cells are byte-stable only for a fixed numpy/scipy/BLAS
-    build (and BLAS thread count), so the sidecar names the builds.
+    build (trials pin numpy's BLAS to one thread, so its thread count
+    matters only for a BLAS that cannot be pinned), so the sidecar names
+    the builds.
     Deterministic facts only: no clocks, hosts or thread counts.
     """
     env = {"numpy": np.__version__, "scipy": scipy.__version__}

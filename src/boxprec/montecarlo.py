@@ -8,16 +8,20 @@ Aggregation is a deterministic fold in trial order, so a (params, trials,
 base_seed) triple always produces the same report bit for bit in a fixed
 environment.
 
+Every trial runs with numpy's BLAS pinned to one thread, and the previous
+count is restored when the trial ends, so a report does not depend on the
+caller's BLAS thread setting and a serial run gives the same bytes as a
+pooled one.  The thread calls are looked up in numpy's own BLAS; a build
+that does not export them runs unpinned.  The pin changes
+process-wide BLAS state, so serial calls made concurrently from several
+threads of one process are not covered.
+
 Trials run on one process pool per interpreter, built on the first pooled
 call and reused by later calls with the same worker count.  Its workers
-are spawned with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
-``MKL_NUM_THREADS`` set to 1 (the caller's environment is restored
-afterwards), so pooled reports do not depend on the caller's BLAS thread
-setting; a serial run follows the process's own.  Spawned workers
-re-import the caller's ``__main__``: a script that runs experiments needs
-an ``if __name__ == "__main__":`` guard, or the pool fails with
-``BrokenProcessPool``.  A broken pool is dropped and rebuilt on the next
-call.
+are spawned, not forked.  Spawned workers re-import the caller's
+``__main__``: a script that runs experiments needs an ``if __name__ ==
+"__main__":`` guard, or the pool fails with ``BrokenProcessPool``.  A
+broken pool is dropped and rebuilt on the next call.
 
 The pool size comes from the ``BOXPREC_WORKERS`` environment variable and
 defaults to the available parallelism; one worker (or one trial)
@@ -27,6 +31,9 @@ is not an integer is a ``ConfigError``.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import multiprocessing
 import os
@@ -182,11 +189,49 @@ def empirical_metrics(
     )
 
 
+@functools.cache
+def _blas_thread_calls():
+    """numpy's BLAS ``(get, set)`` thread-count calls, or None if unknown.
+
+    ``dlsym`` on numpy's linalg extension also searches the BLAS it links,
+    so no library path is needed.  The names are those of the OpenBLAS
+    that numpy's wheels bundle.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's BLAS to one thread, restoring the previous count."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
+
+
 def _run_trial(task) -> TrialMetrics:
     params, seed, box, quant = task
-    real = generate_realization(params, seed)
-    sol = solve_box_qp(real, params)
-    return empirical_metrics(real, sol, params, box, quant)
+    # BLAS rounding depends on the thread count; one thread everywhere
+    # makes serial and pooled bytes equal.
+    with _one_blas_thread():
+        real = generate_realization(params, seed)
+        sol = solve_box_qp(real, params)
+        return empirical_metrics(real, sol, params, box, quant)
 
 
 def _worker_count(workers: int | None) -> int:
@@ -203,10 +248,8 @@ def _worker_count(workers: int | None) -> int:
     return os.cpu_count() or 1
 
 
-# BLAS thread variables pinned to 1 while pool workers start.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# The process-wide pool and its worker count, built on first use; the lock
-# guards both and the environment edit around worker start-up.
+# The process-wide pool and its worker count, built on first use and
+# guarded by the lock.
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
 _pool_lock = threading.Lock()
@@ -223,21 +266,9 @@ def _run_pooled(tasks: list, nworkers: int) -> list[TrialMetrics]:
                 nworkers, mp_context=multiprocessing.get_context("spawn")
             )
             _pool_workers = nworkers
-        saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
         try:
-            # Spawned workers start inside ``submit``, which ``map`` calls
-            # for every chunk before it returns; they read BLAS threads here.
-            os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-            try:
-                chunk = max(1, len(tasks) // (4 * nworkers))
-                results = _pool.map(_run_trial, tasks, chunksize=chunk)
-            finally:
-                for k, v in saved.items():
-                    if v is None:
-                        os.environ.pop(k, None)
-                    else:
-                        os.environ[k] = v
-            return list(results)
+            chunk = max(1, len(tasks) // (4 * nworkers))
+            return list(_pool.map(_run_trial, tasks, chunksize=chunk))
         except BrokenProcessPool:
             _pool = None
             raise

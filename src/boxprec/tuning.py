@@ -11,6 +11,7 @@ strict improvement rule.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,21 +131,12 @@ def optimize_box(
     if not grid:
         raise DomainError("empty reg grid")
     power = params.noise_var * 10.0 ** (snr_tx_db / 10.0)
-    trace: list[tuple[float, float]] = []
-    best: tuple[float, SystemParams] | None = None
-    for reg in grid:
-        try:
-            tuned = tune_target_power(replace(params, reg=reg), power).params
-            ber = box_theory(tuned, solve_saddle(tuned)).ber
-        except (DomainError, SolverError):
-            trace.append((reg, math.nan))
-            continue
-        trace.append((reg, ber))
-        if best is None or ber < best[0]:
-            best = (ber, tuned)
-    if best is None:
-        raise SolverError("no feasible point on the reg grid")
-    return TuneResult(params=best[1], objective=best[0], grid_trace=tuple(trace))
+
+    def evaluate(reg: float) -> tuple[float, SystemParams]:
+        tuned = tune_target_power(replace(params, reg=reg), power).params
+        return box_theory(tuned, solve_saddle(tuned)).ber, tuned
+
+    return _grid_search(grid, evaluate, "reg grid")
 
 
 def optimize_quant(
@@ -165,21 +157,38 @@ def optimize_quant(
     if not regs or not amps:
         raise DomainError("empty tuning grid")
     level = tune_level_for_snr(params.noise_var, snr_tx_db)
-    trace: list[tuple[tuple[float, float], float]] = []
+
+    def evaluate(point: tuple[float, float]) -> tuple[float, SystemParams]:
+        reg, amp = point
+        candidate = replace(params, reg=reg, amp=amp, level=level, target_power=1.0)
+        return quant_theory(candidate, solve_saddle(candidate)).ber, candidate
+
+    points = [(reg, amp) for reg in regs for amp in amps]
+    return _grid_search(points, evaluate, "(reg, amp) grid")
+
+
+def _grid_search(
+    points: Iterable,
+    evaluate: Callable[..., tuple[float, SystemParams]],
+    grid_name: str,
+) -> TuneResult:
+    """Minimize ``evaluate(point) -> (objective, params)`` over ``points``.
+
+    A point that raises :class:`DomainError` or :class:`SolverError`
+    enters the trace with a NaN objective; strict improvement keeps the
+    first of tied points.
+    """
+    trace = []
     best: tuple[float, SystemParams] | None = None
-    for reg in regs:
-        for amp in amps:
-            candidate = replace(
-                params, reg=reg, amp=amp, level=level, target_power=1.0
-            )
-            try:
-                ber = quant_theory(candidate, solve_saddle(candidate)).ber
-            except (DomainError, SolverError):
-                trace.append(((reg, amp), math.nan))
-                continue
-            trace.append(((reg, amp), ber))
-            if best is None or ber < best[0]:
-                best = (ber, candidate)
+    for point in points:
+        try:
+            objective, tuned = evaluate(point)
+        except (DomainError, SolverError):
+            trace.append((point, math.nan))
+            continue
+        trace.append((point, objective))
+        if best is None or objective < best[0]:
+            best = (objective, tuned)
     if best is None:
-        raise SolverError("no feasible point on the (reg, amp) grid")
+        raise SolverError(f"no feasible point on the {grid_name}")
     return TuneResult(params=best[1], objective=best[0], grid_trace=tuple(trace))

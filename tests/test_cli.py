@@ -397,3 +397,4 @@ def test_pooled_csv_is_independent_of_blas_threads(tmp_path):
     serial = csv_bytes(1, 1)
     assert csv_bytes(2, 1) == serial
     assert csv_bytes(2, 2) == serial
+    assert csv_bytes(1, 2) == serial

@@ -106,6 +106,29 @@ def test_pooled_call_restores_blas_env(monkeypatch):
     assert dict(os.environ) == before
 
 
+def test_serial_trials_pin_blas_threads_and_restore_them(monkeypatch):
+    calls = montecarlo._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS exports no known thread-count call")
+    get, set_ = calls
+    seen = []
+
+    def solve(real, params):
+        seen.append(get())
+        return solve_box_qp(real, params)
+
+    monkeypatch.setattr(montecarlo, "solve_box_qp", solve)
+    saved = get()
+    set_(2)
+    try:
+        p = SystemParams(user_ratio=0.25, reg=1.0, amp=1.0, noise_var=0.09, n_antennas=60)
+        run_experiment(p, trials=2, base_seed=3, workers=1)
+        assert get() == 2
+    finally:
+        set_(saved)
+    assert seen == [1, 1]
+
+
 def test_pooled_calls_reuse_one_executor():
     p = SystemParams(user_ratio=0.25, reg=1.0, amp=1.0, noise_var=0.09, n_antennas=60)
     run_experiment(p, trials=2, base_seed=3, workers=2)
