@@ -10,13 +10,13 @@ distribution_convergence.png when matplotlib is available.
 """
 
 import numpy as np
-from scipy.special import ndtr
 
 from boxprec import (
     SystemParams,
     box_theory,
     empirical_metrics,
     generate_realization,
+    q_tail,
     quant_theory,
     solve_box_qp,
     solve_saddle,
@@ -30,7 +30,7 @@ sp = solve_saddle(BASE)
 box = box_theory(BASE, sp)
 quant = quant_theory(BASE, sp)
 
-atom = 2.0 * ndtr(-sp.alpha * BASE.amp)  # predicted mass at the two walls
+atom = 2.0 * q_tail(sp.alpha * BASE.amp)  # predicted mass at the two walls
 print(f"alpha* = {sp.alpha:.6f}; predicted boundary mass {atom:.4f}")
 print("\n    n     W2 box      W2 quant    wall mass (pred "
       f"{atom:.4f})        [mean of 5 seeds]")

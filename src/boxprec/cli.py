@@ -16,11 +16,11 @@ import argparse
 import csv
 import json
 import math
+import platform
 import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import (
@@ -212,15 +212,16 @@ def _sweep_rows(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _environment() -> dict:
-    """Library builds behind the emitted floats.
+    """Builds behind the emitted floats.
 
-    Empirical cells are byte-stable only for a fixed numpy/scipy/BLAS
-    build (trials pin numpy's BLAS to one thread, so its thread count
-    matters only for a BLAS that cannot be pinned), so the sidecar names
-    the builds.
+    Empirical cells are byte-stable only for a fixed Python, numpy and
+    BLAS build, so the sidecar names them: the W2 quantiles come from
+    Python's ``statistics`` module, and trials pin numpy's BLAS to one
+    thread, so its thread count matters only for a BLAS that cannot be
+    pinned.
     Deterministic facts only: no clocks, hosts or thread counts.
     """
-    env = {"numpy": np.__version__, "scipy": scipy.__version__}
+    env = {"python": platform.python_version(), "numpy": np.__version__}
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
@@ -359,6 +360,9 @@ def _load_config(args) -> ExperimentConfig:
     else:
         cfg = parse_config(preset_data, preset=args.preset)
     if args.seed is not None:
+        # The flag bypasses parse_config, so it gets the same check.
+        if args.seed < 0:
+            raise ConfigError(f"--seed: base_seed must be nonnegative, got {args.seed}")
         cfg = replace(cfg, base_seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out_path=args.out)

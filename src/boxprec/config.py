@@ -23,6 +23,13 @@ MODES = ("saddle", "theory", "sweep", "simulate", "tune-box", "tune-quant")
 TUNED = ("box", "quantized", "both")
 
 _PARAM_FIELDS = tuple(f.name for f in dc_fields(SystemParams))
+# Parameters each tuned pipeline overwrites at every sweep point.  The
+# quantized tuner also sets level, which the level rule below covers.
+_TUNER_SETS = {
+    "box": ("reg", "target_power"),
+    "quantized": ("reg", "amp", "target_power"),
+    "both": ("reg", "amp", "target_power"),
+}
 _TOP_KEYS = {
     "schema_version",
     "mode",
@@ -159,6 +166,8 @@ def parse_config(source: str | dict, *, preset: str | None = None) -> Experiment
     if trials < 0:
         raise ConfigError(f"{_line_of(raw, 'trials')}trials must be nonnegative")
     base_seed = _as_int(data.get("base_seed", 0), "base_seed", raw)
+    if base_seed < 0:
+        raise ConfigError(f"{_line_of(raw, 'base_seed')}base_seed must be nonnegative")
     tuned = data.get("tuned")
     if tuned is not None and tuned not in TUNED:
         raise ConfigError(
@@ -200,7 +209,7 @@ def parse_config(source: str | dict, *, preset: str | None = None) -> Experiment
         raise ConfigError("sweep mode requires a sweep block")
     if mode == "simulate" and trials < 1:
         raise ConfigError(f"{_line_of(raw, 'trials')}simulate mode requires trials >= 1")
-    if mode in ("saddle", "theory") and sweep_parameter is not None:
+    if mode not in ("sweep", "simulate") and sweep_parameter is not None:
         raise ConfigError(f"{mode} mode takes no sweep block")
     if tuned is not None and mode not in ("sweep", "simulate"):
         raise ConfigError(f"{_line_of(raw, 'tuned')}tuned applies only to sweep/simulate")
@@ -214,6 +223,11 @@ def parse_config(source: str | dict, *, preset: str | None = None) -> Experiment
         raise ConfigError(
             "sweeping level with a global target_snr_db would overwrite the "
             "swept level; drop target_snr_db to derive SNR per point"
+        )
+    if sweep_parameter in _TUNER_SETS.get(tuned, ()):
+        raise ConfigError(
+            f"{_line_of(raw, 'parameter')}a sweep tuned for {tuned} cannot sweep "
+            f"{sweep_parameter}: the tuner sets it at every point"
         )
     if tuned is not None and target_snr_db is None and params.noise_var == 0.0:
         raise ConfigError("tuned sweeps need noise_var > 0 to derive the SNR target")

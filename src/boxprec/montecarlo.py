@@ -42,9 +42,9 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigError, DomainError
 from .precoder import PrecoderSolution, Realization, generate_realization, solve_box_qp
@@ -104,6 +104,9 @@ class EmpiricalReport:
     w2_quant: float | None
 
 
+_STD_NORMAL = NormalDist()
+
+
 def wasserstein2_to_theory(
     values: np.ndarray,
     symbols: np.ndarray,
@@ -119,6 +122,10 @@ def wasserstein2_to_theory(
     class distances are combined with the empirical class weights.  An
     empty class falls back to prior weights (1/2 each) and contributes the
     class variance ``std^2``; that degenerate case is warned about.
+
+    The standard normal quantiles come from the standard library's
+    ``statistics.NormalDist.inv_cdf``, so their last bits follow the
+    Python build.
     """
     values = np.asarray(values, dtype=float)
     symbols = np.asarray(symbols, dtype=float)
@@ -137,7 +144,8 @@ def wasserstein2_to_theory(
             contrib.append((0.5, std * std))
             continue
         grid = (np.arange(k) + 0.5) / k
-        quantiles = sign * mean_plus + std * ndtri(grid)
+        normal = np.fromiter(map(_STD_NORMAL.inv_cdf, grid.tolist()), float, k)
+        quantiles = sign * mean_plus + std * normal
         contrib.append((k / total, float(np.mean((cls - quantiles) ** 2))))
     if empty:
         warnings.warn(
@@ -283,6 +291,8 @@ def run_experiment(
     """Run ``trials`` seeded realizations and aggregate the metrics."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if base_seed < 0:
+        raise DomainError(f"base_seed must be >= 0, got {base_seed}")
     sp = solve_saddle(params)
     box = box_theory(params, sp)
     quant = quant_theory(params, sp) if params.target_power == 1.0 else None

@@ -20,7 +20,7 @@ def minimal(mode="theory", **extra):
 def test_round_trip_identity():
     cfg = parse_config(minimal(
         "sweep",
-        sweep={"parameter": "amp", "values": [0.5, 1.0, 2.0]},
+        sweep={"parameter": "noise_var", "values": [0.05, 0.1, 0.2]},
         trials=10,
         base_seed=7,
         tuned="both",
@@ -124,6 +124,34 @@ def test_cross_field_rules():
             tuned="quantized",
             target_snr_db=5.0,
         ))
+    with pytest.raises(ConfigError, match="base_seed must be nonnegative"):
+        parse_config(minimal("simulate", trials=2, base_seed=-3))
+    three = {"parameter": "noise_var", "values": [0.05, 0.1, 0.2]}
+    for mode in ("tune-box", "tune-quant"):
+        with pytest.raises(ConfigError, match=f"{mode} mode takes no sweep block"):
+            parse_config(minimal(mode, target_snr_db=5.0, sweep=three))
+    tuner_sets = {
+        "box": ("reg", "target_power"),
+        "quantized": ("reg", "amp", "target_power"),
+        "both": ("reg", "amp", "target_power"),
+    }
+    for tuned, names in tuner_sets.items():
+        for name in names:
+            with pytest.raises(ConfigError, match=f"cannot sweep {name}"):
+                parse_config(minimal(
+                    "sweep",
+                    sweep={"parameter": name, "values": [0.5, 1.0, 2.0]},
+                    tuned=tuned,
+                    target_snr_db=5.0,
+                ))
+    # The parameters a tuner leaves alone still sweep.
+    cfg = parse_config(minimal(
+        "sweep",
+        sweep={"parameter": "amp", "values": [0.5, 1.0]},
+        tuned="box",
+        target_snr_db=5.0,
+    ))
+    assert cfg.sweep_parameter == "amp"
 
 
 def test_tuned_sweep_needs_noise_for_snr():

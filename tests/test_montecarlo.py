@@ -197,3 +197,5 @@ def test_rejects_nonpositive_trials():
     p = SystemParams(**SMALL)
     with pytest.raises(DomainError):
         run_experiment(p, trials=0, base_seed=0)
+    with pytest.raises(DomainError, match="base_seed"):
+        run_experiment(p, trials=1, base_seed=-1)
