@@ -62,7 +62,12 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class TrialMetrics:
-    """Raw per-trial measurements (quant fields None when not evaluated)."""
+    """Raw per-trial measurements (quant fields None when not evaluated).
+
+    ``iterations`` is the box QP's work, as in
+    :class:`~boxprec.precoder.PrecoderSolution`: gradient steps plus
+    linear solves (the ridge start and each active-set solve).
+    """
 
     err_box: int
     sq_box: np.ndarray

@@ -5,8 +5,9 @@ The transmit vector is obtained in two stages.  First solve
     minimize  ||H x - sqrt(target_power) s||^2 / n + reg ||x||^2 / n
     subject to ||x||_inf <= amp
 
-for the relaxed vector ``x_hat`` (accelerated projected gradient with
-momentum restart), then map it through the one-bit DAC,
+exactly for the relaxed vector ``x_hat`` (a ridge start, accelerated
+projected gradient to a loose tolerance, then a primal-dual active-set
+finish), then map it through the one-bit DAC,
 ``x_q = level * sign(x_hat)`` with ``sign(0) := +1``.
 """
 
@@ -28,7 +29,9 @@ __all__ = [
     "solve_box_qp",
 ]
 
-_POWER_ITERS = 50
+# KKT residual at which the gradient phase first hands over to the
+# active-set phase.
+_HANDOVER = 1e-5
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,8 +54,9 @@ class Realization:
 class PrecoderSolution:
     """Output of :func:`solve_box_qp`.
 
-    ``cost_trace`` is only populated on traced runs; costs are
-    non-increasing by construction (momentum restarts on any increase).
+    ``iterations`` counts gradient steps plus linear solves (the ridge
+    start and each active-set solve): 1 when the ridge solution lies
+    inside the box.
     """
 
     x_hat: np.ndarray
@@ -60,7 +64,6 @@ class PrecoderSolution:
     cost: float
     kkt_residual: float
     iterations: int
-    cost_trace: np.ndarray | None = None
 
 
 def generate_realization(params: SystemParams, seed: int) -> Realization:
@@ -79,47 +82,44 @@ def quantize(x: np.ndarray, level: float) -> np.ndarray:
     return np.where(x >= 0.0, level, -level)
 
 
-def _norm2_sq(channel: np.ndarray) -> float:
-    """Squared spectral norm estimate via a fixed-length power method."""
-    n = channel.shape[1]
-    v = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(_POWER_ITERS):
-        w = channel.T @ (channel @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    return float(v @ (channel.T @ (channel @ v)))
-
-
 def solve_box_qp(
     real: Realization,
     params: SystemParams,
     tol: float = 1e-9,
     max_iter: int = 20000,
-    trace: bool = False,
 ) -> PrecoderSolution:
     """Solve the box-constrained ridge LS program for one realization.
 
-    Accelerated projected gradient with fixed step ``1/L`` (``L`` from a
-    50-iteration power method, 2% safety margin) and momentum restart
-    whenever the accelerated candidate raises the cost.  An iteration
-    costs 2 matvecs (cost and gradient at the candidate; the momentum
-    point's gradient follows from the last two by linearity), plus 2
-    more on a restart.  Terminates when the per-coordinate KKT violation
-    falls below ``tol``, then sharpens the iterate with one active-set
-    polish: coordinates sitting on the box stay fixed, the free block is
-    re-solved exactly through the smaller of its ``n_free x n_free`` and
-    ``m x m`` linear systems, and the result is kept only if it lowers
-    both the KKT residual and the cost.
+    Three phases share one gram ``G`` of the channel's smaller side
+    (``H H^T`` when ``m <= n``, else ``H^T H``):
+
+    1. *Ridge start.*  The unconstrained ridge solution, through ``G``.
+       When it lies strictly inside the box (always when ``amp = inf``)
+       it is the exact answer.
+    2. *Accelerated projected gradient* from the clipped ridge point,
+       with step ``1/L`` (``L`` from 50 power iterations on ``G``, 2%
+       safety margin) and momentum restart whenever the accelerated
+       candidate raises the cost, down to a KKT residual of ``1e-5``.
+       An iteration costs 2 matvecs, plus 2 more on a restart.
+    3. *Primal-dual active set* (Hintermüller, Ito & Kunisch 2002) with
+       dual step ``c`` = mean Hessian diagonal: coordinates whose
+       predictor ``x - grad / c`` leaves the box are fixed on it, the
+       free block is re-solved exactly, until the active set repeats
+       (or, as a guard against wandering, the number of coordinates
+       changing sides stops falling).  The clipped result is accepted
+       when its freshly computed KKT residual is below ``tol`` and its
+       cost does not exceed the gradient phase's.  Otherwise phase 2
+       resumes from the better of the two points with a 100 times
+       smaller hand-over residual.
+
+    ``max_iter`` bounds the gradient steps plus linear solves.
 
     Raises
     ------
     SolverError
-        When ``max_iter`` is exhausted, or the iteration stalls at float
-        resolution, before reaching ``tol`` (the polish step gets a
-        chance to rescue either case first); the message carries the
-        last KKT residual.
+        When ``max_iter`` is exhausted, or the gradient phase stalls at
+        float resolution, before a point meets ``tol``; the message
+        carries the last KKT residual.
     """
     channel = real.channel
     n = channel.shape[1]
@@ -127,10 +127,6 @@ def solve_box_qp(
     reg = params.reg
     amp = params.amp
     bounded = math.isfinite(amp)
-    lip = 1.02 * (2.0 / n) * (_norm2_sq(channel) + reg)
-    if lip == 0.0:
-        raise SolverError("zero curvature: channel and reg are both zero")
-    step = 1.0 / lip
 
     def project(v: np.ndarray) -> np.ndarray:
         return np.clip(v, -amp, amp) if bounded else v
@@ -148,107 +144,132 @@ def solve_box_qp(
             viol = np.where(x <= -amp, np.maximum(-g, 0.0), viol)
         return float(viol.max()) if viol.size else 0.0
 
-    x = np.zeros(n)
+    x, gram = _ridge(channel, target, reg)
+    iterations = 1
+    interior = not bounded or float(np.abs(x).max()) < amp
+    x = project(x)
     cost, grad = cost_and_grad(x)
     resid = kkt(x, grad)
-    y, g_y = x, grad
-    t_m = 1.0
-    costs = [cost] if trace else None
-    iterations = 0
-    if resid < tol:
-        return _solution(x, params, cost, resid, iterations, costs)
-    stalled = False
-    for iterations in range(1, max_iter + 1):
-        cand = project(y - step * g_y)
-        c_cand, g_cand = cost_and_grad(cand)
-        if c_cand > cost:
-            # Momentum overshot: restart from the last accepted point.
-            t_m = 1.0
-            cand = project(x - step * grad)
+    if interior and resid < tol:
+        return _solution(x, params, cost, resid, iterations)
+
+    v = np.full(gram.shape[0], 1.0 / math.sqrt(gram.shape[0]))
+    for _ in range(50):
+        w = gram @ v
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            break
+        v = w / nw
+    lip = 1.02 * (2.0 / n) * (float(v @ (gram @ v)) + reg)
+    if lip == 0.0:
+        raise SolverError("zero curvature: channel and reg are both zero")
+    step = 1.0 / lip
+    # The Hessian is (2/n)(H^T H + reg I); trace(H^T H) = trace(G).
+    dual = (2.0 / n) * (float(np.trace(gram)) / n + reg)
+
+    def active_set(x: np.ndarray, g: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
+        """Last PDAS iterate from ``(x, g)`` and the solves it took.
+
+        Stops when the active set repeats, or when the number of
+        coordinates that change sides fails to fall: far from the
+        optimum PDAS can wander (free block near square, tiny reg).
+        """
+        moved = math.inf
+        solves = 0
+        while solves < budget:
+            pred = x - g / dual
+            up = pred > amp
+            lo = pred < -amp
+            if solves:
+                changed = np.count_nonzero(up != was_up) + np.count_nonzero(lo != was_lo)
+                if changed == 0 or changed >= moved:
+                    break
+                moved = changed
+            was_up, was_lo = up, lo
+            free = ~(up | lo)
+            x = np.where(up, amp, np.where(lo, -amp, 0.0))
+            x_free, _ = _ridge(channel[:, free], target - channel @ x, reg)
+            solves += 1
+            if not np.all(np.isfinite(x_free)):
+                break
+            x[free] = x_free
+            _, g = cost_and_grad(x)
+        return x, solves
+
+    handover = _HANDOVER
+    while True:
+        y, g_y = x, grad
+        t_m = 1.0
+        stalled = False
+        while resid >= handover and iterations < max_iter:
+            iterations += 1
+            cand = project(y - step * g_y)
             c_cand, g_cand = cost_and_grad(cand)
             if c_cand > cost:
-                # Stalled at float resolution.
-                resid = kkt(x, grad)
-                stalled = True
-                break
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
-        mom = (t_m - 1.0) / t_next
-        y = cand + mom * (cand - x)
-        # The gradient is affine, so the momentum point's gradient is the
-        # same combination of the last two accepted gradients.
-        g_y = g_cand + mom * (g_cand - grad)
-        x, cost, grad = cand, c_cand, g_cand
-        t_m = t_next
-        if costs is not None:
-            costs.append(cost)
-        resid = kkt(x, grad)
+                # Momentum overshot: restart from the last accepted point.
+                t_m = 1.0
+                cand = project(x - step * grad)
+                c_cand, g_cand = cost_and_grad(cand)
+                if c_cand > cost:
+                    # Stalled at float resolution.
+                    stalled = True
+                    break
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
+            mom = (t_m - 1.0) / t_next
+            y = cand + mom * (cand - x)
+            # The gradient is affine, so the momentum point's gradient is the
+            # same combination of the last two accepted gradients.
+            g_y = g_cand + mom * (g_cand - grad)
+            x, cost, grad = cand, c_cand, g_cand
+            t_m = t_next
+            resid = kkt(x, grad)
+        x_as, solves = active_set(x, grad, max_iter - iterations)
+        iterations += solves
+        if solves:
+            x_as = project(x_as)
+            c_as, g_as = cost_and_grad(x_as)
+            r_as = kkt(x_as, g_as)
+            if r_as < tol and c_as <= cost + 1e-12 * max(1.0, abs(cost)):
+                return _solution(x_as, params, c_as, r_as, iterations)
+            if c_as < cost:
+                x, cost, grad, resid = x_as, c_as, g_as, r_as
+                stalled = False
         if resid < tol:
-            break
-    polished = _polish(channel, target, reg, amp, bounded, x, cost, resid, cost_and_grad, kkt)
-    if polished is not None:
-        x, cost, grad, resid = polished
-    if resid >= tol:
+            return _solution(x, params, cost, resid, iterations)
         if stalled:
             raise SolverError(
                 f"stalled at cost resolution with KKT residual {resid:.3e}"
             )
-        raise SolverError(
-            f"no convergence in {max_iter} iterations; last KKT residual {resid:.3e}"
-        )
-    return _solution(x, params, cost, resid, iterations, costs)
+        if iterations >= max_iter:
+            raise SolverError(
+                f"no convergence in {max_iter} iterations; last KKT residual {resid:.3e}"
+            )
+        handover /= 100.0
 
 
-def _polish(
-    channel: np.ndarray,
-    target: np.ndarray,
-    reg: float,
-    amp: float,
-    bounded: bool,
-    x: np.ndarray,
-    cost: float,
-    resid: float,
-    cost_and_grad,
-    kkt,
-) -> tuple[np.ndarray, float, np.ndarray, float] | None:
-    """Re-solve the free block exactly under the current active set.
+def _ridge(
+    h: np.ndarray, rhs: np.ndarray, reg: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizer of ``||h z - rhs||^2 + reg ||z||^2``, and the gram used.
 
-    Returns the improved ``(x, cost, grad, kkt_residual)`` tuple, or
-    ``None`` when the active-set guess is rejected: a freed coordinate
-    lands on or outside the box, the linear solve degenerates, or the
-    candidate fails to beat the incoming residual and cost.
+    Solves the smaller of the two equivalent systems: the normal
+    equations with ``h^T h``, or (Woodbury) the dual
+    ``z = h^T (h h^T + reg I)^-1 rhs``, which SystemParams keeps
+    nonsingular by forbidding reg = 0 when m < n.  The returned gram is
+    the unregularized one.
     """
-    n = x.shape[0]
-    free = np.abs(x) < amp if bounded else np.ones(n, dtype=bool)
-    n_free = int(free.sum())
-    if n_free == 0:
-        return None
-    h_free = channel[:, free]
-    rhs = target if n_free == n else target - channel[:, ~free] @ x[~free]
-    # Solve the smaller of the two equivalent ridge systems: the
-    # n_free x n_free normal equations, or (Woodbury) the m x m dual
-    # x_free = H_f^T (H_f H_f^T + reg I)^-1 rhs, which SystemParams keeps
-    # nonsingular by forbidding reg = 0 when m < n.
-    wide = n_free > channel.shape[0]
+    wide = h.shape[0] <= h.shape[1]
+    gram = h @ h.T if wide else h.T @ h
+    system = gram.copy()
+    system[np.diag_indices_from(system)] += reg
     try:
-        gram = h_free @ h_free.T if wide else h_free.T @ h_free
-        gram[np.diag_indices_from(gram)] += reg
         if wide:
-            x_free = h_free.T @ np.linalg.solve(gram, rhs)
+            z = h.T @ np.linalg.solve(system, rhs)
         else:
-            x_free = np.linalg.solve(gram, h_free.T @ rhs)
+            z = np.linalg.solve(system, h.T @ rhs)
     except np.linalg.LinAlgError:
-        x_free, *_ = np.linalg.lstsq(h_free, rhs, rcond=None)
-    if not np.all(np.isfinite(x_free)):
-        return None
-    if bounded and float(np.abs(x_free).max()) >= amp:
-        return None
-    x_pol = x.copy()
-    x_pol[free] = x_free
-    c_pol, g_pol = cost_and_grad(x_pol)
-    r_pol = kkt(x_pol, g_pol)
-    if r_pol < resid and c_pol <= cost + 1e-12 * max(1.0, abs(cost)):
-        return x_pol, c_pol, g_pol, r_pol
-    return None
+        z, *_ = np.linalg.lstsq(h, rhs, rcond=None)
+    return z, gram
 
 
 def _solution(
@@ -257,7 +278,6 @@ def _solution(
     cost: float,
     resid: float,
     iterations: int,
-    costs: list[float] | None,
 ) -> PrecoderSolution:
     return PrecoderSolution(
         x_hat=x,
@@ -265,5 +285,4 @@ def _solution(
         cost=cost,
         kkt_residual=resid,
         iterations=iterations,
-        cost_trace=None if costs is None else np.asarray(costs),
     )

@@ -3,9 +3,8 @@
 Each oracle deliberately avoids the code path it is used to check:
 moments by adaptive quadrature instead of closed forms, the scalar saddle
 by damped fixed-point iteration instead of Newton's method, and the box
-QP by active-set enumeration instead of projected gradients.  The plain
-APG reference re-evaluates every gradient from the channel, so it checks
-the solver's recycled momentum-point gradients.
+QP by active-set enumeration, or a least-squares re-solve of a given
+active set, instead of the solver's gram-based linear solves.
 """
 
 from __future__ import annotations
@@ -133,59 +132,39 @@ def box_qp_by_enumeration(
     return best_x, best_cost
 
 
-def box_qp_apg_reference(
+def box_qp_certificate(
     channel: np.ndarray,
     symbols: np.ndarray,
     reg: float,
     amp: float,
     target_power: float,
-    tol: float = 1e-9,
-    max_iter: int = 20000,
-) -> tuple[int, np.ndarray]:
-    """Iteration count and cost trace of a plain restarted APG loop.
+    x: np.ndarray,
+) -> tuple[float, float]:
+    """Optimality certificate of ``x`` for the box QP.
 
-    The same method as the library solver before its polish: step
-    ``1/L`` from a 50-step power method with a 2% margin, momentum
-    restart on any cost increase, stop on a KKT residual below ``tol``.
-    Every gradient, the momentum point's included, is evaluated fresh.
-    ``amp`` must be finite.
+    Coordinates of ``x`` on the box stay there; the free block is re-solved
+    by least squares on the stacked ``[H_F; sqrt(reg) I]`` system, as in
+    :func:`box_qp_by_enumeration`.  Returns the largest deviation of ``x``
+    from that solution and the smallest bound multiplier at it (``-grad``
+    on the upper bound, ``grad`` on the lower; ``inf`` when nothing is on
+    the box).  ``x`` is the optimum exactly when the deviation is zero and
+    no multiplier is negative.
     """
     n = channel.shape[1]
     target = math.sqrt(target_power) * symbols
-    v = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(50):
-        w = channel.T @ (channel @ v)
-        v = w / np.linalg.norm(w)
-    step = 1.0 / (1.02 * (2.0 / n) * (float(v @ (channel.T @ (channel @ v))) + reg))
-
-    def cost_and_grad(x):
-        r = channel @ x - target
-        return float((r @ r + reg * (x @ x)) / n), (2.0 / n) * (channel.T @ r + reg * x)
-
-    def kkt(x, g):
-        viol = np.abs(g)
-        viol = np.where(x >= amp, np.maximum(g, 0.0), viol)
-        viol = np.where(x <= -amp, np.maximum(-g, 0.0), viol)
-        return float(viol.max())
-
-    x = y = np.zeros(n)
-    cost, grad = cost_and_grad(x)
-    costs = [cost]
-    t_m = 1.0
-    for it in range(1, max_iter + 1):
-        _, g_y = cost_and_grad(y)
-        cand = np.clip(y - step * g_y, -amp, amp)
-        c_cand, g_cand = cost_and_grad(cand)
-        if c_cand > cost:
-            t_m = 1.0
-            cand = np.clip(x - step * grad, -amp, amp)
-            c_cand, g_cand = cost_and_grad(cand)
-            if c_cand > cost:
-                raise RuntimeError("reference APG stalled")
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
-        y = cand + ((t_m - 1.0) / t_next) * (cand - x)
-        x, cost, grad, t_m = cand, c_cand, g_cand, t_next
-        costs.append(cost)
-        if kkt(x, grad) < tol:
-            return it, np.asarray(costs)
-    raise RuntimeError("reference APG did not converge")
+    up = x >= amp
+    lo = x <= -amp
+    free = ~(up | lo)
+    x_ref = np.where(up, amp, np.where(lo, -amp, 0.0))
+    rhs = target - channel @ x_ref
+    k = int(free.sum())
+    if k:
+        x_ref[free], *_ = np.linalg.lstsq(
+            np.vstack([channel[:, free], math.sqrt(reg) * np.eye(k)]),
+            np.concatenate([rhs, np.zeros(k)]),
+            rcond=None,
+        )
+    grad = (2.0 / n) * (channel.T @ (channel @ x_ref - target) + reg * x_ref)
+    mult = np.concatenate([-grad[up], grad[lo]])
+    worst = float(mult.min()) if mult.size else math.inf
+    return float(np.abs(x_ref - x).max()), worst
