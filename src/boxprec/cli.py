@@ -1,10 +1,13 @@
 """Experiment runner: config in, machine-readable table out.
 
-``boxprec run`` parses a JSON config (or a named preset), dispatches on
-its mode, and emits one CSV or JSON table.  Every theory number in the
-table is a pure function of the parameter columns in the same row, so
-``boxprec verify`` can recompute and diff an emitted file with no other
-state; empirical columns are reproducible from the seed columns.
+``boxprec run`` parses a JSON config (or a named preset) and emits one
+CSV or JSON table.  Every mode is the same per-point pipeline, run at
+each sweep value or once at the configured point: tune, saddle, theory
+and Monte Carlo, each stage only where the mode asks for it.  Every
+theory number in the table is a pure function of the parameter columns
+in the same row, so ``boxprec verify`` can recompute and diff an
+emitted file with no other state; empirical columns are reproducible
+from the seed columns.
 
 Exit codes: 0 success, 1 verify mismatch, 2 config error, 3 solver
 error, 4 I/O error.
@@ -150,67 +153,6 @@ def _theory_row(params: SystemParams) -> dict:
     return row
 
 
-def _point_snr_db(cfg: ExperimentConfig, params: SystemParams) -> float:
-    if cfg.target_snr_db is not None:
-        return cfg.target_snr_db
-    return 10.0 * math.log10(params.level**2 / params.noise_var)
-
-
-def _optimize(
-    cfg: ExperimentConfig, pipeline: str, base: SystemParams, snr_db: float
-):
-    """Tune one pipeline at ``base`` over the config's grids."""
-    if pipeline == "box":
-        return optimize_box(base, snr_db, cfg.reg_grid)
-    return optimize_quant(base, snr_db, cfg.reg_grid, cfg.amp_grid)
-
-
-def _tuned_points(cfg: ExperimentConfig, base: SystemParams):
-    """Tuned (pipeline, params) rows for one sweep point, box first."""
-    snr_db = _point_snr_db(cfg, base)
-    pipelines = ("box", "quantized") if cfg.tuned == "both" else (cfg.tuned,)
-    return [(p, _optimize(cfg, p, base, snr_db).params) for p in pipelines]
-
-
-def _sweep_rows(cfg: ExperimentConfig) -> list[dict]:
-    if cfg.sweep_parameter is not None:
-        points = list(cfg.sweep_values or ())
-    else:
-        points = [None]
-    rows = []
-    for j, value in enumerate(points):
-        where = (
-            f"sweep point {j} ({cfg.sweep_parameter}={value!r})"
-            if value is not None
-            else "the configured point"
-        )
-        try:
-            base = (
-                replace(cfg.params, **{cfg.sweep_parameter: value})
-                if value is not None
-                else cfg.params
-            )
-            pipes = (
-                _tuned_points(cfg, base)
-                if cfg.tuned is not None
-                else [(None, base)]
-            )
-            for pipeline, params in pipes:
-                row = _theory_row(params)
-                if pipeline is not None:
-                    row["pipeline"] = pipeline
-                if cfg.mode == "simulate":
-                    seed = cfg.base_seed + j * cfg.trials
-                    rep = run_experiment(params, cfg.trials, seed)
-                    row.update(_cells(rep, "emp_"))
-                rows.append(row)
-        except DomainError as exc:
-            raise DomainError(f"at {where}: {exc}") from exc
-        except SolverError as exc:
-            raise SolverError(f"at {where}: {exc}") from exc
-    return rows
-
-
 def _environment() -> dict:
     """Builds behind the emitted floats.
 
@@ -232,22 +174,55 @@ def _environment() -> dict:
 
 
 def run(cfg: ExperimentConfig) -> RunResult:
-    """Execute a validated config and return the result table."""
+    """Execute a validated config and return the result table.
+
+    Every mode is one pipeline run at each operating point (each sweep
+    value, or the configured point): tune each pipeline, then the saddle
+    or theory row, then the Monte Carlo cells in simulate mode.
+    """
+    tuning = cfg.mode.startswith("tune-")
+    tuned = {"tune-box": "box", "tune-quant": "quantized"}.get(cfg.mode, cfg.tuned)
+    pipelines = ("box", "quantized") if tuned == "both" else (tuned,)
+    points = cfg.sweep_values if cfg.sweep_parameter is not None else (None,)
+    rows = []
     meta_extra: dict = {}
-    if cfg.mode == "saddle":
-        rows = [_saddle_row(cfg.params)[1]]
-    elif cfg.mode == "theory":
-        rows = [_theory_row(cfg.params)]
-    elif cfg.mode in ("tune-box", "tune-quant"):
-        pipeline = "box" if cfg.mode == "tune-box" else "quantized"
-        res = _optimize(cfg, pipeline, cfg.params, cfg.target_snr_db)
-        row = _theory_row(res.params)
-        row["pipeline"] = pipeline
-        row["objective_ber"] = res.objective
-        rows = [row]
-        meta_extra["grid_trace"] = res.grid_trace
-    else:
-        rows = _sweep_rows(cfg)
+    for j, value in enumerate(points):
+        if value is None:
+            where, base = "the configured point", cfg.params
+        else:
+            where = f"sweep point {j} ({cfg.sweep_parameter}={value!r})"
+            base = replace(cfg.params, **{cfg.sweep_parameter: value})
+        try:
+            results = [None]
+            if tuned is not None:
+                snr_db = cfg.target_snr_db
+                if snr_db is None:
+                    snr_db = 10.0 * math.log10(base.level**2 / base.noise_var)
+                results = [
+                    optimize_box(base, snr_db, cfg.reg_grid) if p == "box"
+                    else optimize_quant(base, snr_db, cfg.reg_grid, cfg.amp_grid)
+                    for p in pipelines
+                ]
+            for pipeline, res in zip(pipelines, results):
+                params = base if res is None else res.params
+                if cfg.mode == "saddle":
+                    row = _saddle_row(params)[1]
+                else:
+                    row = _theory_row(params)
+                if pipeline is not None:
+                    row["pipeline"] = pipeline
+                if tuning:
+                    row["objective_ber"] = res.objective
+                    meta_extra["grid_trace"] = res.grid_trace
+                if cfg.mode == "simulate":
+                    seed = cfg.base_seed + j * cfg.trials
+                    rep = run_experiment(params, cfg.trials, seed)
+                    row.update(_cells(rep, "emp_"))
+                rows.append(row)
+        except DomainError as exc:
+            raise DomainError(f"at {where}: {exc}") from exc
+        except SolverError as exc:
+            raise SolverError(f"at {where}: {exc}") from exc
     columns = tuple(c for c in ALL_COLS if any(c in r for r in rows))
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -383,10 +358,14 @@ def _read_table(path: str) -> list[dict]:
         head = fh.read(1)
         fh.seek(0)
         if head == "{":
-            doc = json.load(fh)
-            rows = doc.get("rows")
-            if not isinstance(rows, list):
-                raise ConfigError(f"{path}: no 'rows' list in JSON document")
+            try:
+                rows = json.load(fh).get("rows")
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+            if not isinstance(rows, list) or not all(
+                isinstance(r, dict) for r in rows
+            ):
+                raise ConfigError(f"{path}: no 'rows' list of objects in JSON document")
             return rows
         reader = csv.reader(fh)
         try:
@@ -402,14 +381,20 @@ def verify_file(path: str, tol: float = 1e-12) -> list[str]:
     Returns human-readable mismatch descriptions; empty means the file
     is internally consistent to ``tol`` (relative above 1, absolute
     below).  Empirical and objective columns are seed-dependent and are
-    not recomputed here.
+    not recomputed here.  Every emitted row carries saddle columns, so a
+    table with no theory cell at all is not an emitted table and raises
+    ConfigError.
     """
+    table = [
+        (row, [c for c in _VERIFIABLE if row.get(c) not in (None, "")])
+        for row in _read_table(path)
+    ]
+    if not any(present for _, present in table):
+        raise ConfigError(f"{path}: no theory columns to verify")
     problems: list[str] = []
-    for i, row in enumerate(_read_table(path)):
-        present = [
-            c for c in _VERIFIABLE if c in row and row[c] not in (None, "")
-        ]
+    for i, (row, present) in enumerate(table):
         if not present:
+            problems.append(f"row {i}: no theory columns")
             continue
         try:
             # float() also reads the "inf"/"nan" strings emit writes.
@@ -417,7 +402,7 @@ def verify_file(path: str, tol: float = 1e-12) -> list[str]:
                 name: int(row[name]) if name == "n_antennas" else float(row[name])
                 for name in _PARAM_FIELDS
             }
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"row {i}: unreadable params ({exc})")
             continue
         try:
@@ -426,10 +411,14 @@ def verify_file(path: str, tol: float = 1e-12) -> list[str]:
             problems.append(f"row {i}: recompute failed ({exc})")
             continue
         for col in present:
-            got = float(row[col])
             want = expected.get(col)
             if want is None:
                 problems.append(f"row {i}: {col} present but not recomputable")
+                continue
+            try:
+                got = float(row[col])
+            except (TypeError, ValueError):
+                problems.append(f"row {i}: {col} unreadable {row[col]!r}")
                 continue
             if not abs(got - want) <= tol * max(1.0, abs(want)):
                 problems.append(

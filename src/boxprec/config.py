@@ -80,7 +80,16 @@ def _as_float(value: Any, key: str, raw: str | None) -> float:
         raise ConfigError(f"{_line_of(raw, key)}{key}: non-numeric string {value!r}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{_line_of(raw, key)}{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{_line_of(raw, key)}{key}: integer too large for a float"
+        ) from None
+    if math.isnan(number):
+        # json.loads reads the non-standard NaN literal.
+        raise ConfigError(f"{_line_of(raw, key)}{key}: expected a number, got NaN")
+    return number
 
 
 def _as_int(value: Any, key: str, raw: str | None) -> int:
@@ -176,6 +185,11 @@ def parse_config(source: str | dict, *, preset: str | None = None) -> Experiment
     target_snr_db = data.get("target_snr_db")
     if target_snr_db is not None:
         target_snr_db = _as_float(target_snr_db, "target_snr_db", raw)
+        if math.isinf(target_snr_db):
+            raise ConfigError(
+                f"{_line_of(raw, 'target_snr_db')}target_snr_db must be finite, "
+                f"got {target_snr_db!r}"
+            )
 
     grids: dict[str, tuple[float, ...] | None] = {}
     for key in ("reg_grid", "amp_grid"):

@@ -291,6 +291,37 @@ def test_verify_reads_json_documents(tmp_path):
     assert main(["verify", "--in", str(out)]) == 0
 
 
+def test_verify_rejects_tables_with_nothing_to_check(tmp_path, capsys):
+    # Every emitted table carries saddle columns: a table with no theory
+    # cell, or a JSON document whose rows are not objects, is not one.
+    cases = {
+        "header.csv": "user_ratio,reg,amp,level,noise_var,target_power,n_antennas,tau\n",
+        "list.json": "[1,2]\n",
+        "scalars.json": '{"rows": [1]}\n',
+        "broken.json": '{"rows": [\n',
+    }
+    for name, text in cases.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", "--in", str(path)]) == 2, name
+        assert "config error" in capsys.readouterr().err
+    # A row without theory cells in an otherwise checkable table, or an
+    # unreadable theory cell, is a mismatch rather than a crash.
+    good = write_config(tmp_path, base_config())
+    out = tmp_path / "t.json"
+    assert main(["run", "--config", good, "--out", str(out), "--format", "json"]) == 0
+    doc = json.loads(out.read_text())
+    doc["rows"].append({"tau": "x"})
+    doc["rows"].append(dict(doc["rows"][0], tau=[1.0]))
+    doc["rows"].append({})
+    out.write_text(json.dumps(doc))
+    problems = verify_file(str(out))
+    assert len(problems) == 3
+    assert "row 1: unreadable params" in problems[0]
+    assert "row 2: tau unreadable" in problems[1]
+    assert "row 3: no theory columns" in problems[2]
+
+
 def test_exit_2_on_config_problems(tmp_path, capsys):
     assert main(["run"]) == 2
     bad = tmp_path / "bad.json"
@@ -309,6 +340,10 @@ def test_exit_2_on_config_problems(tmp_path, capsys):
     neg = write_config(tmp_path, dict(SIM, base_seed=-3), "neg.json")
     assert main(["run", "--config", neg]) == 2
     assert "base_seed" in capsys.readouterr().err
+    # json.dumps writes the NaN literal, which json.loads reads back.
+    nan = base_config("tune-box", target_snr_db=math.nan, reg_grid=[1.0])
+    assert main(["run", "--config", write_config(tmp_path, nan, "nan.json")]) == 2
+    assert "target_snr_db" in capsys.readouterr().err
 
 
 def test_exit_3_on_infeasible_tuning(tmp_path, capsys):
@@ -316,7 +351,9 @@ def test_exit_3_on_infeasible_tuning(tmp_path, capsys):
     cfg["params"]["amp"] = 0.5  # 5 dB needs power 0.285 > amp^2
     path = write_config(tmp_path, cfg)
     assert main(["run", "--config", path]) == 3
-    assert "solver error" in capsys.readouterr().err
+    # Every mode runs the same per-point pipeline, so a single-point
+    # failure names its point like a sweep point does.
+    assert "solver error: at the configured point: " in capsys.readouterr().err
 
 
 def test_exit_4_on_unwritable_output(tmp_path, capsys):
@@ -399,8 +436,10 @@ def test_simulate_csv_header_is_frozen(monkeypatch):
 
 
 def test_pooled_csv_is_independent_of_blas_threads(tmp_path):
-    # fig3 size, at box sizes where the active-set polish runs: its gram
-    # and LAPACK solves round differently with 1 and 2 BLAS threads.
+    # fig3 size: the gram products and LAPACK solves of the box QP round
+    # differently with 1 and 2 BLAS threads.  Box sizes >= 2.15 return the
+    # ridge solution of one m x m solve; at 0.774 entries clip, so APG and
+    # the active-set free-block solves run too.
     import os
     import subprocess
     import sys
@@ -410,7 +449,9 @@ def test_pooled_csv_is_independent_of_blas_threads(tmp_path):
     from boxprec.presets import preset_config
 
     data = preset_config("fig3")
-    data["sweep"]["values"] = [v for v in data["sweep"]["values"] if v >= 2.15][:3]
+    values = data["sweep"]["values"]
+    assert values[4] == 0.774263682681127
+    data["sweep"]["values"] = [values[4]] + [v for v in values if v >= 2.15][:3]
     data["trials"] = 2
     path = write_config(tmp_path, data)
     src = str(Path(boxprec.__file__).parents[1])

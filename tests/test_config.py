@@ -93,6 +93,29 @@ def test_non_numeric_strings_rejected():
         parse_config(bad)
 
 
+def test_nan_huge_and_infinite_snr_rejected():
+    # json.loads accepts the NaN and Infinity literals.
+    text = json.dumps(minimal(params={"user_ratio": 0.2, "reg": math.nan, "amp": 1.0}))
+    assert "NaN" in text
+    with pytest.raises(ConfigError, match="reg: expected a number, got NaN"):
+        parse_config(text)
+    with pytest.raises(ConfigError, match="reg_grid: expected a number, got NaN"):
+        parse_config(json.dumps(minimal(
+            "tune-box", target_snr_db=5.0, reg_grid=[1.0, math.nan]
+        )))
+    with pytest.raises(ConfigError, match="values: expected a number, got NaN"):
+        parse_config(json.dumps(minimal(
+            "sweep", sweep={"parameter": "noise_var", "values": [math.nan]}
+        )))
+    for snr in (math.nan, math.inf, -math.inf, "inf"):
+        with pytest.raises(ConfigError, match="target_snr_db"):
+            parse_config(json.dumps(minimal("tune-box", target_snr_db=snr)))
+    huge = minimal()
+    huge["params"]["reg"] = 10**400
+    with pytest.raises(ConfigError, match="reg: integer too large for a float"):
+        parse_config(json.dumps(huge))
+
+
 def test_domain_errors_become_config_errors():
     bad = minimal()
     bad["params"]["user_ratio"] = -0.5
