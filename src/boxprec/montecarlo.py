@@ -109,7 +109,13 @@ class EmpiricalReport:
     w2_quant: float | None
 
 
-_STD_NORMAL = NormalDist()
+@functools.lru_cache(maxsize=256)
+def _midpoint_normal_quantiles(k: int) -> np.ndarray:
+    """Standard normal quantiles at ``(i + 1/2) / k``, read-only, memoised."""
+    grid = (np.arange(k) + 0.5) / k
+    out = np.fromiter(map(NormalDist().inv_cdf, grid.tolist()), float, k)
+    out.flags.writeable = False
+    return out
 
 
 def wasserstein2_to_theory(
@@ -130,7 +136,8 @@ def wasserstein2_to_theory(
 
     The standard normal quantiles come from the standard library's
     ``statistics.NormalDist.inv_cdf``, so their last bits follow the
-    Python build.
+    Python build.  They depend on the class size alone and are memoised
+    per size.
     """
     values = np.asarray(values, dtype=float)
     symbols = np.asarray(symbols, dtype=float)
@@ -148,9 +155,7 @@ def wasserstein2_to_theory(
             empty = True
             contrib.append((0.5, std * std))
             continue
-        grid = (np.arange(k) + 0.5) / k
-        normal = np.fromiter(map(_STD_NORMAL.inv_cdf, grid.tolist()), float, k)
-        quantiles = sign * mean_plus + std * normal
+        quantiles = sign * mean_plus + std * _midpoint_normal_quantiles(k)
         contrib.append((k / total, float(np.mean((cls - quantiles) ** 2))))
     if empty:
         warnings.warn(

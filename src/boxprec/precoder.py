@@ -71,7 +71,8 @@ def generate_realization(params: SystemParams, seed: int) -> Realization:
     rng = np.random.default_rng(seed)
     n = params.n_antennas
     m = params.n_users
-    channel = rng.standard_normal((m, n)) / math.sqrt(n)
+    channel = rng.standard_normal((m, n))
+    channel /= math.sqrt(n)
     symbols = rng.integers(0, 2, size=m) * 2.0 - 1.0
     noise = rng.standard_normal(m) * math.sqrt(params.noise_var)
     return Realization(channel=channel, symbols=symbols, noise=noise, seed=seed)
@@ -106,11 +107,19 @@ def solve_box_qp(
        predictor ``x - grad / c`` leaves the box are fixed on it, the
        free block is re-solved exactly, until the active set repeats
        (or, as a guard against wandering, the number of coordinates
-       changing sides stops falling).  The clipped result is accepted
-       when its freshly computed KKT residual is below ``tol`` and its
-       cost does not exceed the gradient phase's.  Otherwise phase 2
-       resumes from the better of the two points with a 100 times
-       smaller hand-over residual.
+       changing sides stops falling).  A free block with at least ``m``
+       coordinates is solved through its ``m x m`` gram, taken as
+       ``G - H_A H_A^T`` when fewer coordinates are active than free
+       and as ``H_F H_F^T`` otherwise; ``H_F^T w`` is read off
+       ``H^T w``.  Fewer free coordinates than ``m`` use the free
+       block's own gram.  The clipped result is accepted when its
+       freshly computed KKT residual is below ``tol`` and its cost does
+       not exceed the gradient phase's.  Otherwise phase 2 resumes from
+       the better of the two points with a 10 times smaller hand-over
+       residual.  When phase 2 itself has reached ``tol`` and the
+       active-set point is rejected, one free-block solve on the
+       iterate's own active set replaces it if that passes the same
+       test.
 
     ``max_iter`` bounds the gradient steps plus linear solves.
 
@@ -122,7 +131,7 @@ def solve_box_qp(
         carries the last KKT residual.
     """
     channel = real.channel
-    n = channel.shape[1]
+    m, n = channel.shape
     target = math.sqrt(params.target_power) * real.symbols
     reg = params.reg
     amp = params.amp
@@ -156,16 +165,48 @@ def solve_box_qp(
     v = np.full(gram.shape[0], 1.0 / math.sqrt(gram.shape[0]))
     for _ in range(50):
         w = gram @ v
-        nw = float(np.linalg.norm(w))
+        nw = math.sqrt(w @ w)
         if nw == 0.0:
             break
-        v = w / nw
+        w /= nw
+        v = w
     lip = 1.02 * (2.0 / n) * (float(v @ (gram @ v)) + reg)
     if lip == 0.0:
         raise SolverError("zero curvature: channel and reg are both zero")
     step = 1.0 / lip
     # The Hessian is (2/n)(H^T H + reg I); trace(H^T H) = trace(G).
     dual = (2.0 / n) * (float(np.trace(gram)) / n + reg)
+
+    def free_solve(up: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """``up``/``lo`` fixed on the box, the free block solved exactly."""
+        x = np.where(up, amp, np.where(lo, -amp, 0.0))
+        free = ~(up | lo)
+        rhs = target - channel @ x
+        n_free = int(np.count_nonzero(free))
+        if n_free < m:
+            x[free], _ = _ridge(channel[:, free], rhs, reg)
+            return x
+        # m <= n_free <= n, so gram is H H^T: take the free block's gram
+        # from it by the cheaper route, and H_F^T w from H^T w.
+        if n - n_free < n_free:
+            h_act = channel[:, ~free]
+            system = gram - h_act @ h_act.T
+        else:
+            h_free = channel[:, free]
+            system = h_free @ h_free.T
+        try:
+            x[free] = (channel.T @ _shifted_solve(system, reg, rhs))[free]
+        except np.linalg.LinAlgError:
+            x[free], *_ = np.linalg.lstsq(channel[:, free], rhs, rcond=None)
+        return x
+
+    def checked(x: np.ndarray, cost: float) -> tuple[tuple, bool]:
+        """``(x, cost, grad, resid)`` of the clipped ``x``, and whether it
+        meets ``tol`` at no more than ``cost``."""
+        x = project(x)
+        c, g = cost_and_grad(x)
+        r = kkt(x, g)
+        return (x, c, g, r), r < tol and c <= cost + 1e-12 * max(1.0, abs(cost))
 
     def active_set(x: np.ndarray, g: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
         """Last PDAS iterate from ``(x, g)`` and the solves it took.
@@ -186,13 +227,11 @@ def solve_box_qp(
                     break
                 moved = changed
             was_up, was_lo = up, lo
-            free = ~(up | lo)
-            x = np.where(up, amp, np.where(lo, -amp, 0.0))
-            x_free, _ = _ridge(channel[:, free], target - channel @ x, reg)
+            x_new = free_solve(up, lo)
             solves += 1
-            if not np.all(np.isfinite(x_free)):
+            if not np.all(np.isfinite(x_new)):
                 break
-            x[free] = x_free
+            x = x_new
             _, g = cost_and_grad(x)
         return x, solves
 
@@ -226,15 +265,21 @@ def solve_box_qp(
         x_as, solves = active_set(x, grad, max_iter - iterations)
         iterations += solves
         if solves:
-            x_as = project(x_as)
-            c_as, g_as = cost_and_grad(x_as)
-            r_as = kkt(x_as, g_as)
-            if r_as < tol and c_as <= cost + 1e-12 * max(1.0, abs(cost)):
+            (x_as, c_as, g_as, r_as), ok = checked(x_as, cost)
+            if ok:
                 return _solution(x_as, params, c_as, r_as, iterations)
             if c_as < cost:
                 x, cost, grad, resid = x_as, c_as, g_as, r_as
                 stalled = False
         if resid < tol:
+            # An APG iterate at KKT tol can still miss the optimal x_hat by
+            # about tol * n / (2 reg); when its active set is the optimal
+            # one, a free-block solve on it lands on the optimum exactly.
+            if iterations < max_iter:
+                iterations += 1
+                (x_fs, c_fs, _, r_fs), ok = checked(free_solve(x >= amp, x <= -amp), cost)
+                if ok:
+                    return _solution(x_fs, params, c_fs, r_fs, iterations)
             return _solution(x, params, cost, resid, iterations)
         if stalled:
             raise SolverError(
@@ -244,7 +289,7 @@ def solve_box_qp(
             raise SolverError(
                 f"no convergence in {max_iter} iterations; last KKT residual {resid:.3e}"
             )
-        handover /= 100.0
+        handover /= 10.0
 
 
 def _ridge(
@@ -260,16 +305,20 @@ def _ridge(
     """
     wide = h.shape[0] <= h.shape[1]
     gram = h @ h.T if wide else h.T @ h
-    system = gram.copy()
-    system[np.diag_indices_from(system)] += reg
     try:
         if wide:
-            z = h.T @ np.linalg.solve(system, rhs)
+            z = h.T @ _shifted_solve(gram.copy(), reg, rhs)
         else:
-            z = np.linalg.solve(system, h.T @ rhs)
+            z = _shifted_solve(gram.copy(), reg, h.T @ rhs)
     except np.linalg.LinAlgError:
         z, *_ = np.linalg.lstsq(h, rhs, rcond=None)
     return z, gram
+
+
+def _shifted_solve(system: np.ndarray, reg: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(system + reg I) z = rhs``; ``system`` is shifted in place."""
+    system.flat[:: system.shape[0] + 1] += reg
+    return np.linalg.solve(system, rhs)
 
 
 def _solution(

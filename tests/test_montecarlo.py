@@ -1,7 +1,9 @@
 import math
 import multiprocessing
 import os
+import warnings
 from concurrent.futures.process import BrokenProcessPool
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -53,6 +55,43 @@ def test_w2_empty_class_warns_and_uses_prior():
         d = wasserstein2_to_theory(values, symbols, 2.0, 0.5)
     # The missing class contributes its full variance at prior weight.
     assert d >= math.sqrt(0.5 * 0.25) - 1e-12
+
+
+def _w2_unmemoised(values, symbols, mean_plus, std):
+    """wasserstein2_to_theory's formula, quantiles computed afresh."""
+    contrib = []
+    for sign in (1.0, -1.0):
+        cls = np.sort(values[symbols == sign])
+        k = cls.size
+        if k == 0:
+            contrib.append((0.5, std * std))
+            continue
+        grid = (np.arange(k) + 0.5) / k
+        normal = np.fromiter(map(NormalDist().inv_cdf, grid.tolist()), float, k)
+        quantiles = sign * mean_plus + std * normal
+        contrib.append((k / values.size, float(np.mean((cls - quantiles) ** 2))))
+    if any(np.count_nonzero(symbols == sign) == 0 for sign in (1.0, -1.0)):
+        contrib = [(0.5, sq) for _, sq in contrib]
+    return math.sqrt(sum(w * sq for w, sq in contrib))
+
+
+def test_w2_quantile_memo_is_bit_exact():
+    # Every class size 1..m, twice, so the second pass reads the memo.
+    m = 48
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(m)
+    for _ in range(2):
+        for k in range(1, m + 1):
+            symbols = np.where(np.arange(m) < k, 1.0, -1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = wasserstein2_to_theory(values, symbols, 0.7, 0.3)
+            assert got == _w2_unmemoised(values, symbols, 0.7, 0.3)
+    cached = montecarlo._midpoint_normal_quantiles(5)
+    assert cached is montecarlo._midpoint_normal_quantiles(5)
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0] = 0.0
 
 
 def test_w2_rejects_bad_shapes():

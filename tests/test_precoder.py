@@ -34,6 +34,24 @@ def test_realization_is_seed_deterministic():
     assert set(np.unique(a.symbols)) <= {-1.0, 1.0}
 
 
+def test_realization_follows_the_seed_contract():
+    # Channel, then symbols, then noise, all from one default_rng stream;
+    # the channel is scaled after drawing, so its bytes are the plain
+    # quotient.
+    p = SystemParams(**PINNED, n_antennas=50)
+    m, n = p.n_users, p.n_antennas
+    for seed in (0, 123, 2**40 + 7):
+        real = generate_realization(p, seed)
+        rng = np.random.default_rng(seed)
+        channel = rng.standard_normal((m, n)) / math.sqrt(n)
+        symbols = rng.integers(0, 2, size=m) * 2.0 - 1.0
+        noise = rng.standard_normal(m) * math.sqrt(p.noise_var)
+        assert real.channel.tobytes() == channel.tobytes()
+        assert real.symbols.tobytes() == symbols.tobytes()
+        assert real.noise.tobytes() == noise.tobytes()
+        assert real.seed == seed
+
+
 def test_channel_variance_scales_with_array_size():
     p = SystemParams(user_ratio=0.5, reg=1.0, amp=1.0, n_antennas=4000)
     real = generate_realization(p, 5)
@@ -143,25 +161,60 @@ def test_loose_box_returns_ridge_solution_in_one_solve():
     assert float(np.abs(sol.x_hat - x_ref).max()) < 1e-10
 
 
+def _assert_certified(p, seed):
+    """Solve ``(p, seed)``, check it against the optimality certificate,
+    and return the number of coordinates on the box and off it."""
+    real = generate_realization(p, seed)
+    sol = solve_box_qp(real, p)
+    deviation, worst = box_qp_certificate(
+        real.channel, real.symbols, p.reg, p.amp, p.target_power, sol.x_hat
+    )
+    assert deviation < 1e-10
+    assert worst >= -1e-12
+    n_free = int(np.count_nonzero(np.abs(sol.x_hat) < p.amp))
+    return p.n_antennas - n_free, n_free
+
+
 def test_fig3_solutions_are_certified_optimal():
     # At box size 0.774 a 1e-9 KKT residual alone left x_hat up to 5e-4
     # from the optimum (seeds 1000 and 1001): reg is tiny, so the cost is
     # nearly flat along some directions.  At the two tighter fig3 boxes
     # the active-set point is rejected and APG resumes with a tighter
-    # hand-over (174 and 45 iterations).
+    # hand-over (88 and 26 gradient steps).
     instances = [(0.774263682681127, seed) for seed in range(1000, 1005)]
     instances += [(0.46415888336127786, 90015), (0.2782559402207124, 90041)]
     for amp, seed in instances:
         p = SystemParams(
             user_ratio=0.2, reg=FIG3_REG, amp=amp, noise_var=0.09, n_antennas=1000
         )
-        real = generate_realization(p, seed)
-        sol = solve_box_qp(real, p)
-        deviation, worst = box_qp_certificate(
-            real.channel, real.symbols, p.reg, p.amp, p.target_power, sol.x_hat
+        _assert_certified(p, seed)
+    # At box size 1.29 only a few coordinates clip, so the free block's
+    # gram is the full gram minus the active columns' part.
+    for seed in (90250, 90251):
+        p = SystemParams(
+            user_ratio=0.2, reg=FIG3_REG, amp=1.2915496650148839, noise_var=0.09,
+            n_antennas=1000,
         )
-        assert deviation < 1e-10
-        assert worst >= -1e-12
+        n_active, n_free = _assert_certified(p, seed)
+        assert 0 < n_active < n_free
+
+
+@pytest.mark.parametrize(
+    "user_ratio, amp, seeds",
+    [
+        (0.15, 0.47287080450158786, (40150, 40151)),  # fig4-left quantized point 3
+        (0.2, 0.6069622310029172, (41200, 41201)),  # fig4-right quantized point 4
+    ],
+    ids=["fig4-left", "fig4-right"],
+)
+def test_fig4_solutions_are_certified_optimal(user_ratio, amp, seeds):
+    # The tuned one-bit box sizes: the first active-set point is rejected
+    # on nearly every draw, and the accepted one comes after APG resumes.
+    for seed in seeds:
+        p = SystemParams(
+            user_ratio=user_ratio, reg=0.001, amp=amp, noise_var=0.09, n_antennas=800
+        )
+        _assert_certified(p, seed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,17 +243,43 @@ def test_stationary_over_the_domain(user_ratio, reg, amp, target_power, n, seed)
 def test_wide_polish_matches_dense_ridge_solve():
     # More free coordinates than users: the polish takes the m x m dual
     # route, which must agree with the n_free x n_free normal equations.
-    p = SystemParams(user_ratio=0.2, reg=0.01, amp=0.8, noise_var=0.09, n_antennas=400)
-    real = generate_realization(p, 7)
-    sol = solve_box_qp(real, p)
-    h = real.channel
-    free = np.abs(sol.x_hat) < p.amp
-    n_free = int(free.sum())
-    assert h.shape[0] < n_free < h.shape[1]
-    rhs = math.sqrt(p.target_power) * real.symbols - h[:, ~free] @ sol.x_hat[~free]
-    h_free = h[:, free]
-    x_ref = np.linalg.solve(h_free.T @ h_free + p.reg * np.eye(n_free), h_free.T @ rhs)
-    assert float(np.abs(sol.x_hat[free] - x_ref).max()) < 1e-10
+    # Its gram is G - H_A H_A^T when fewer coordinates are active than
+    # free (box 0.8), else H_F H_F^T (box 0.6).
+    for amp, downdate in [(0.8, True), (0.6, False)]:
+        p = SystemParams(
+            user_ratio=0.2, reg=0.01, amp=amp, noise_var=0.09, n_antennas=400
+        )
+        real = generate_realization(p, 7)
+        sol = solve_box_qp(real, p)
+        h = real.channel
+        free = np.abs(sol.x_hat) < p.amp
+        n_free = int(free.sum())
+        assert h.shape[0] < n_free < h.shape[1]
+        assert (h.shape[1] - n_free < n_free) == downdate
+        rhs = math.sqrt(p.target_power) * real.symbols - h[:, ~free] @ sol.x_hat[~free]
+        h_free = h[:, free]
+        x_ref = np.linalg.solve(
+            h_free.T @ h_free + p.reg * np.eye(n_free), h_free.T @ rhs
+        )
+        assert float(np.abs(sol.x_hat[free] - x_ref).max()) < 1e-10
+
+
+def test_loose_tolerance_after_rejected_active_set():
+    # With tol above the hand-over, the gradient phase itself meets tol
+    # when the active-set point is rejected (this instance); the solver
+    # then tries one free-block solve on the iterate's active set and
+    # keeps the iterate unless that solve passes the same checks.
+    p = SystemParams(
+        user_ratio=0.2, reg=FIG3_REG, amp=0.46415888336127786, noise_var=0.09,
+        n_antennas=1000,
+    )
+    real = generate_realization(p, 90015)
+    sol = solve_box_qp(real, p, tol=1e-4)
+    cost, resid = _cost_and_kkt(real, p, sol.x_hat)
+    assert float(np.abs(sol.x_hat).max()) <= p.amp
+    assert resid < 1e-4
+    assert cost == pytest.approx(sol.cost, rel=1e-12)
+    assert cost <= _cost_and_kkt(real, p, _clipped_ridge(real, p))[0]
 
 
 def _ks_to_clipped_gaussian(sample: np.ndarray, alpha: float, amp: float) -> float:
