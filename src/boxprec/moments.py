@@ -12,6 +12,7 @@ is handled as an explicit branch, not as a large float.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,8 +89,16 @@ class ClipMoments:
     e_xh: float
 
 
+# One entry on purpose: the theory functions' consistency check asks for
+# the moments at the (alpha, amp) that the saddle solver's own final check
+# evaluated just before, and that is the only repeat worth serving.  A
+# call with any other arguments recomputes.
+@functools.lru_cache(maxsize=1)
 def clip_moments(alpha: float, amp: float) -> ClipMoments:
     """Closed-form moments of the clipped Gaussian response.
+
+    The last evaluation is memoised on its exact arguments, so a repeated
+    call returns the same (immutable) result without recomputing it.
 
     Parameters
     ----------

@@ -21,7 +21,9 @@ call and reused by later calls with the same worker count.  Its workers
 are spawned, not forked.  Spawned workers re-import the caller's
 ``__main__``: a script that runs experiments needs an ``if __name__ ==
 "__main__":`` guard, or the pool fails with ``BrokenProcessPool``.  A
-broken pool is dropped and rebuilt on the next call.
+broken pool is dropped and rebuilt on the next call.  Each worker exits
+as soon as the process that built the pool dies, so a killed caller
+leaves no workers behind.
 
 The pool size comes from the ``BOXPREC_WORKERS`` environment variable and
 defaults to the available parallelism; one worker (or one trial)
@@ -36,6 +38,7 @@ import ctypes
 import functools
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import threading
 import warnings
@@ -266,6 +269,24 @@ def _worker_count(workers: int | None) -> int:
     return os.cpu_count() or 1
 
 
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker when its parent process dies.
+
+    A parent killed outright never shuts its pool down, and its spawned
+    workers would wait for tasks forever.  The parent's sentinel becomes
+    ready when the parent is gone.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        multiprocessing.connection.wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
 # The process-wide pool and its worker count, built on first use and
 # guarded by the lock.
 _pool: ProcessPoolExecutor | None = None
@@ -281,7 +302,9 @@ def _run_pooled(tasks: list, nworkers: int) -> list[TrialMetrics]:
             if _pool is not None:
                 _pool.shutdown()
             _pool = ProcessPoolExecutor(
-                nworkers, mp_context=multiprocessing.get_context("spawn")
+                nworkers,
+                mp_context=multiprocessing.get_context("spawn"),
+                initializer=_exit_with_parent,
             )
             _pool_workers = nworkers
         try:

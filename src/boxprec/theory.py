@@ -42,8 +42,13 @@ _E_ABS_GAUSS = math.sqrt(2.0 / math.pi)  # E|H| for standard normal H
 def _check_solution(params: SystemParams, sp: SaddlePoint) -> None:
     """Verify that ``sp`` actually solves the system for ``params``.
 
-    Residuals are recomputed from scratch so that a mismatched
-    (params, saddle) pair cannot slip through.
+    Residuals are recomputed from ``params``, ``sp.tau`` and ``sp.beta``
+    so that a mismatched (params, saddle) pair cannot slip through.  The
+    moments behind them come from :func:`~boxprec.moments.clip_moments`,
+    whose one-entry memo serves them when ``sp`` is the point the solver
+    just returned for ``params``; any other ``(alpha, amp)`` recomputes
+    them in full.  The memo returns the same floats either way, so the
+    check refuses exactly the pairs it would refuse without it.
     """
     _, _, r_power, r_beta = saddle_residuals(params, sp.tau, sp.beta)
     if abs(r_power) > _RESIDUAL_TOL or abs(r_beta) > _RESIDUAL_TOL:

@@ -102,3 +102,33 @@ def test_moment_bounds_hold_everywhere(alpha, amp):
     assert 0.0 < m.e_abs <= min(amp, SQRT_2_OVER_PI / alpha) * (1.0 + 1e-12)
     # Clipping only sheds mass, never flips the correlation sign.
     assert 0.0 < m.e_xh <= 1.0 / alpha * (1.0 + 1e-12)
+
+
+def _bits(m: ClipMoments) -> tuple[str, str, str]:
+    return (m.e_abs.hex(), m.e_sq.hex(), m.e_xh.hex())
+
+
+_ARG = st.floats(min_value=1e-3, max_value=1e3) | st.just(math.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_ARG, _ARG), min_size=1, max_size=4),
+    picks=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12),
+)
+def test_memo_returns_the_bits_of_a_fresh_evaluation(pairs, picks):
+    # Picks repeat pairs both back to back (memo hits) and after another
+    # pair has taken the single entry (misses).
+    for i in picks:
+        alpha, amp = pairs[i % len(pairs)]
+        assert _bits(clip_moments(alpha, amp)) == _bits(clip_moments.__wrapped__(alpha, amp))
+
+
+def test_memo_keeps_only_the_last_evaluation():
+    first = clip_moments(0.7, 1.3)
+    assert clip_moments(0.7, 1.3) is first
+    clip_moments(0.7, math.inf)
+    again = clip_moments(0.7, 1.3)
+    assert again is not first and again == first
+    with pytest.raises(ValueError):
+        clip_moments(0.7, -1.3)

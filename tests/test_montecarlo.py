@@ -1,8 +1,13 @@
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -188,6 +193,76 @@ def test_broken_executor_is_replaced():
         run_experiment(p, trials=4, base_seed=11, workers=2)
     assert run_experiment(p, trials=4, base_seed=11, workers=2) == serial
     assert montecarlo._pool is not broken
+
+
+# Builds the pool in a process of its own, writes the worker and resource
+# tracker PIDs, then waits to be killed.
+_ORPHAN_SCRIPT = """
+import multiprocessing, os, sys, time
+from multiprocessing import resource_tracker
+from boxprec import SystemParams, run_experiment
+
+if __name__ == "__main__":
+    p = SystemParams(user_ratio=0.25, reg=1.0, amp=1.0, noise_var=0.09, n_antennas=60)
+    run_experiment(p, trials=4, base_seed=3, workers=2)
+    pids = [c.pid for c in multiprocessing.active_children()]
+    pids.append(resource_tracker._resource_tracker._pid)
+    with open(sys.argv[1] + ".tmp", "w") as fh:
+        fh.write(" ".join(map(str, pids)))
+    os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+    time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_pool_workers_exit_when_their_parent_is_killed(tmp_path):
+    import boxprec
+
+    script = tmp_path / "orphan.py"
+    script.write_text(_ORPHAN_SCRIPT)
+    pid_file = tmp_path / "pids"
+    src = str(Path(boxprec.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, str(script), str(pid_file)], env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    pids: list[int] = []
+    try:
+        deadline = time.monotonic() + 120.0
+        while not pid_file.exists():
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline, "pool never came up"
+            time.sleep(0.05)
+        pids = [int(x) for x in pid_file.read_text().split()]
+        assert len(pids) == 3 and all(map(_running, pids))
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)]
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        proc.stderr.close()
+        for pid in pids:
+            if _running(pid):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 def test_worker_env_override(monkeypatch):

@@ -120,12 +120,19 @@ def test_theory_rejects_foreign_saddle_point():
     p, sp = pinned()
     # A saddle point that does not satisfy this p's fixed point must be
     # refused; silent reuse across parameter sets was a real bug class.
-    corrupted = replace(sp, tau=sp.tau * 1.001)
-    with pytest.raises(DomainError):
-        box_theory(p, corrupted)
-    other = SystemParams(user_ratio=0.2, reg=1.0, amp=2.0, noise_var=0.09)
-    with pytest.raises(DomainError):
-        box_theory(other, sp)
+    # Each foreign call comes right after the genuine pair, which leaves
+    # that pair's moments in clip_moments' memo.  (The quantized and
+    # Bussgang models refuse target_power != 1 before they get that far.)
+    foreign = [(replace(p, **{field: getattr(p, field) * 1.01}), sp)
+               for field in ("user_ratio", "reg", "amp", "target_power")]
+    foreign += [(SystemParams(user_ratio=0.2, reg=1.0, amp=2.0, noise_var=0.09), sp)]
+    foreign += [(p, replace(sp, tau=sp.tau * 1.001)), (p, replace(sp, beta=sp.beta * 1.001))]
+    checkers = (box_theory, quant_theory, bussgang_theory, lambda p, sp: snr_tx(p, "box", sp))
+    for checker in checkers:
+        for other_p, other_sp in foreign:
+            checker(p, sp)
+            with pytest.raises(DomainError):
+                checker(other_p, other_sp)
 
 
 def test_snr_tx_identities():
