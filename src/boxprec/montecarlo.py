@@ -33,17 +33,14 @@ is not an integer is a ``ConfigError``.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import ctypes
 import functools
 import math
-import multiprocessing
-import multiprocessing.connection
 import os
 import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from statistics import NormalDist
 
@@ -68,8 +65,9 @@ class TrialMetrics:
     """Raw per-trial measurements (quant fields None when not evaluated).
 
     ``iterations`` is the box QP's work, as in
-    :class:`~boxprec.precoder.PrecoderSolution`: gradient steps plus
-    linear solves (the ridge start and each active-set solve).
+    :class:`~boxprec.precoder.PrecoderSolution`: trial gradient steps,
+    accepted or backtracked, plus linear solves (the ridge start and
+    each active-set or free-block solve).
     """
 
     err_box: int
@@ -276,6 +274,8 @@ def _exit_with_parent() -> None:
     workers would wait for tasks forever.  The parent's sentinel becomes
     ready when the parent is gone.
     """
+    import multiprocessing.connection
+
     parent = multiprocessing.parent_process()
     if parent is None:
         return
@@ -287,15 +287,30 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
-# The process-wide pool and its worker count, built on first use and
-# guarded by the lock.
-_pool: ProcessPoolExecutor | None = None
+# The process-wide pool (a ProcessPoolExecutor) and its worker count,
+# built on first use and guarded by the lock.
+_pool = None
 _pool_workers = 0
 _pool_lock = threading.Lock()
 
 
+@atexit.register
+def _release_pool() -> None:
+    """Drop the pool at exit, before interpreter teardown clears the
+    lazily imported modules that its executor's finalizer still uses."""
+    global _pool
+    _pool = None
+
+
 def _run_pooled(tasks: list, nworkers: int) -> list[TrialMetrics]:
-    """Run the trials on the process-wide pool of ``nworkers`` workers."""
+    """Run the trials on the process-wide pool of ``nworkers`` workers.
+
+    The pool machinery is imported here, so serial runs never load it.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     global _pool, _pool_workers
     with _pool_lock:
         if _pool is None or _pool_workers != nworkers:

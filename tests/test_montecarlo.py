@@ -195,6 +195,29 @@ def test_broken_executor_is_replaced():
     assert montecarlo._pool is not broken
 
 
+_SERIAL_SCRIPT = """
+import sys
+from boxprec import SystemParams, run_experiment
+
+p = SystemParams(user_ratio=0.25, reg=1.0, amp=1.0, noise_var=0.09, n_antennas=60)
+run_experiment(p, trials=2, base_seed=3, workers=1)
+print(" ".join(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
+"""
+
+
+def test_serial_runs_do_not_load_the_pool_machinery():
+    import boxprec
+
+    src = str(Path(boxprec.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SERIAL_SCRIPT], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    assert out.stdout.split() == []
+
+
 # Builds the pool in a process of its own, writes the worker and resource
 # tracker PIDs, then waits to be killed.
 _ORPHAN_SCRIPT = """

@@ -14,6 +14,7 @@ from boxprec import (
     solve_saddle,
 )
 from boxprec.moments import q_tail
+from boxprec.precoder import Realization
 from boxprec.presets import FIG3_REG
 
 from oracles import box_qp_by_enumeration, box_qp_certificate
@@ -131,13 +132,28 @@ def _clipped_ridge(real, p):
 def test_iteration_budget_is_enforced():
     # The ridge start is the first iteration, and on this heavily clipped
     # instance the clipped ridge point is far from stationary, so a
-    # one-iteration budget cannot be met.
+    # one-iteration budget cannot be met.  Nor can five: every trial
+    # gradient step, accepted or backtracked, spends one of them.
     p = SystemParams(user_ratio=0.2, reg=0.001, amp=0.2, noise_var=0.09, n_antennas=200)
     real = generate_realization(p, 4)
     assert _cost_and_kkt(real, p, _clipped_ridge(real, p))[1] > 1e-6
-    with pytest.raises(SolverError, match="no convergence in 1 iterations"):
-        solve_box_qp(real, p, max_iter=1)
+    for budget in (1, 5):
+        with pytest.raises(SolverError, match=f"no convergence in {budget} iterations"):
+            solve_box_qp(real, p, max_iter=budget)
     assert solve_box_qp(real, p).kkt_residual < 1e-9
+
+
+def test_zero_curvature_raises():
+    # An all-zero channel with reg 0 leaves the cost flat: no step length
+    # is defined and every point of the box is optimal.
+    p = SystemParams(user_ratio=1.0, reg=0.0, amp=0.5, noise_var=0.09, n_antennas=20)
+    real = generate_realization(p, 3)
+    flat = Realization(
+        channel=np.zeros_like(real.channel), symbols=real.symbols,
+        noise=real.noise, seed=real.seed,
+    )
+    with pytest.raises(SolverError, match="zero curvature"):
+        solve_box_qp(flat, p)
 
 
 @pytest.mark.parametrize("amp", [0.3, math.inf], ids=["clipped", "unbounded"])
@@ -215,6 +231,15 @@ def test_fig4_solutions_are_certified_optimal(user_ratio, amp, seeds):
             user_ratio=user_ratio, reg=0.001, amp=amp, noise_var=0.09, n_antennas=800
         )
         _assert_certified(p, seed)
+
+
+def test_certified_where_power_iteration_undershoots():
+    # On this draw 50 power iterations on the gram fall 2.04% short of its
+    # top eigenvalue, so a power-iteration step with a 2% margin was not
+    # safe; the step must come from the measured curvature instead.
+    p = SystemParams(user_ratio=0.5, reg=0.001, amp=0.5, noise_var=0.09, n_antennas=2000)
+    n_active, n_free = _assert_certified(p, 2)
+    assert n_active > 0 and n_free > 0
 
 
 @settings(max_examples=150, deadline=None)
