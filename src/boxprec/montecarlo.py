@@ -9,12 +9,12 @@ base_seed) triple always produces the same report bit for bit in a fixed
 environment.
 
 Every trial runs with numpy's BLAS pinned to one thread, and the previous
-count is restored when the trial ends, so a report does not depend on the
-caller's BLAS thread setting and a serial run gives the same bytes as a
-pooled one.  The thread calls are looked up in numpy's own BLAS; a build
-that does not export them runs unpinned.  The pin changes
-process-wide BLAS state, so serial calls made concurrently from several
-threads of one process are not covered.
+count is restored when the trial (or a serial call's whole loop) ends, so
+a report does not depend on the caller's BLAS thread setting and a serial
+run gives the same bytes as a pooled one.  The thread calls are looked up
+in numpy's own BLAS; a build that does not export them runs unpinned.  The
+pin changes process-wide BLAS state, so serial calls made concurrently
+from several threads of one process are not covered.
 
 Trials run on one process pool per interpreter, built on the first pooled
 call and reused by later calls with the same worker count.  Its workers
@@ -26,9 +26,16 @@ as soon as the process that built the pool dies, so a killed caller
 leaves no workers behind.
 
 The pool size comes from the ``BOXPREC_WORKERS`` environment variable and
-defaults to the available parallelism; one worker (or one trial)
-short-circuits to a serial loop in the calling process, and a value that
-is not an integer is a ``ConfigError``.
+defaults to the available parallelism, and a value that is not an integer
+is a ``ConfigError``.  One worker (or one trial) short-circuits to a
+serial loop in the calling process that keeps one draw ahead: while trial
+``i`` solves its QP and measures it, a helper thread draws realization
+``i + 1`` into the other of two channel buffers allocated once per call.
+At the fig3 size with one BLAS thread a draw takes about 3.3 ms and a
+ridge-only QP about 2 ms, so the overlap hides most of the draw when the
+helper has a core of its own.  The draw calls no BLAS, so the one-thread
+pin, held over the whole loop, still fixes the bytes.  The helper is
+joined before the call returns or raises.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import operator
 import os
 import threading
 import warnings
@@ -47,7 +55,13 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .precoder import PrecoderSolution, Realization, generate_realization, solve_box_qp
+from .precoder import (
+    PrecoderSolution,
+    Realization,
+    _draw,
+    generate_realization,
+    solve_box_qp,
+)
 from .saddle import SystemParams, solve_saddle
 from .theory import BoxTheory, QuantTheory, box_theory, quant_theory
 
@@ -243,14 +257,61 @@ def _one_blas_thread():
         set_(saved)
 
 
+def _trial(real: Realization, params, box, quant) -> TrialMetrics:
+    """Solve and measure one drawn realization: every trial's body."""
+    return empirical_metrics(real, solve_box_qp(real, params), params, box, quant)
+
+
 def _run_trial(task) -> TrialMetrics:
+    """One pooled trial, drawn, solved and measured on one BLAS thread."""
     params, seed, box, quant = task
     # BLAS rounding depends on the thread count; one thread everywhere
     # makes serial and pooled bytes equal.
     with _one_blas_thread():
-        real = generate_realization(params, seed)
-        sol = solve_box_qp(real, params)
-        return empirical_metrics(real, sol, params, box, quant)
+        return _trial(generate_realization(params, seed), params, box, quant)
+
+
+def _draw_into(out: list, *args) -> None:
+    """Helper-thread target: append the draw, or what it raised, to ``out``."""
+    try:
+        out.append(_draw(*args))
+    except BaseException as exc:
+        out.append(exc)
+
+
+def _run_serial(params, seeds: range, box, quant) -> list[TrialMetrics]:
+    """Run the trials in this process, drawing each one a trial ahead.
+
+    Trial ``i``'s solve and metrics run here while a helper thread draws
+    trial ``i + 1`` into the channel buffer trial ``i - 1`` used; a
+    trial's metrics keep no reference to its channel, so the buffer is
+    free by then.  At most one draw is in flight, and it is joined before
+    the next trial starts or any exception leaves this function.
+    """
+    shape = (params.n_users, params.n_antennas)
+    buffers = (np.empty(shape), np.empty(shape))
+    results = []
+    # The draw calls no BLAS, so one pin covers the whole loop.
+    with _one_blas_thread():
+        real = _draw(params, seeds[0], buffers[0])
+        for i in range(1, len(seeds)):
+            drawn: list = []
+            ahead = threading.Thread(
+                target=_draw_into,
+                args=(drawn, params, seeds[i], buffers[i % 2]),
+                name="boxprec-draw-ahead",
+                daemon=True,
+            )
+            ahead.start()
+            try:
+                results.append(_trial(real, params, box, quant))
+            finally:
+                ahead.join()
+            (real,) = drawn
+            if isinstance(real, BaseException):
+                raise real
+        results.append(_trial(real, params, box, quant))
+    return results
 
 
 def _worker_count(workers: int | None) -> int:
@@ -330,26 +391,25 @@ def _run_pooled(tasks: list, nworkers: int) -> list[TrialMetrics]:
             raise
 
 
-def run_experiment(
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integer is a ``DomainError``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _report(
+    results: list[TrialMetrics],
     params: SystemParams,
-    trials: int,
+    box: BoxTheory,
+    quant: QuantTheory | None,
     base_seed: int,
-    workers: int | None = None,
 ) -> EmpiricalReport:
-    """Run ``trials`` seeded realizations and aggregate the metrics."""
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    if base_seed < 0:
-        raise DomainError(f"base_seed must be >= 0, got {base_seed}")
-    sp = solve_saddle(params)
-    box = box_theory(params, sp)
-    quant = quant_theory(params, sp) if params.target_power == 1.0 else None
-    tasks = [(params, base_seed + i, box, quant) for i in range(trials)]
-    nworkers = _worker_count(workers)
-    if nworkers == 1 or trials == 1:
-        results = [_run_trial(t) for t in tasks]
-    else:
-        results = _run_pooled(tasks, nworkers)
+    """Fold the per-trial metrics, in trial order, into the report."""
+    trials = len(results)
     m = params.n_users
     bits = trials * m
 
@@ -383,3 +443,41 @@ def run_experiment(
         **pooled("box", box, float(np.mean([r.power_box for r in results]))),
         **report_quant,
     )
+
+
+def run_experiment(
+    params: SystemParams,
+    trials: int,
+    base_seed: int,
+    workers: int | None = None,
+) -> EmpiricalReport:
+    """Run ``trials`` seeded realizations and aggregate the metrics.
+
+    Trial ``i`` draws from seed ``base_seed + i``; ``trials`` and
+    ``base_seed`` must be integers (not bools), else ``DomainError``.
+    ``workers`` (default: ``BOXPREC_WORKERS``, then the CPU count) sets
+    the pool size.  With one worker or one trial the trials run in this
+    process with numpy's BLAS pinned to one thread, as in the pool.
+    While trial ``i`` solves and is measured, a helper thread draws
+    realization ``i + 1`` into the other of two channel buffers, which
+    the call allocates once; the helper is joined before this returns or
+    raises, and an exception from a draw is re-raised here as it was
+    raised.  Either way the report is the same bytes.
+    """
+    trials = _integer("trials", trials)
+    base_seed = _integer("base_seed", base_seed)
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    if base_seed < 0:
+        raise DomainError(f"base_seed must be >= 0, got {base_seed}")
+    sp = solve_saddle(params)
+    box = box_theory(params, sp)
+    quant = quant_theory(params, sp) if params.target_power == 1.0 else None
+    nworkers = _worker_count(workers)
+    if nworkers == 1 or trials == 1:
+        seeds = range(base_seed, base_seed + trials)
+        results = _run_serial(params, seeds, box, quant)
+    else:
+        tasks = [(params, base_seed + i, box, quant) for i in range(trials)]
+        results = _run_pooled(tasks, nworkers)
+    return _report(results, params, box, quant, base_seed)

@@ -68,13 +68,21 @@ class PrecoderSolution:
 
 def generate_realization(params: SystemParams, seed: int) -> Realization:
     """Draw a seeded channel, symbol, and noise tuple for ``params``."""
+    return _draw(params, seed, np.empty((params.n_users, params.n_antennas)))
+
+
+def _draw(params: SystemParams, seed: int, channel: np.ndarray) -> Realization:
+    """:func:`generate_realization` with the channel drawn into ``channel``.
+
+    ``channel`` is a C-contiguous float64 ``(m, n)`` array whose contents
+    are overwritten; the returned realization holds it, not a copy.  The
+    draw calls no BLAS.
+    """
     rng = np.random.default_rng(seed)
-    n = params.n_antennas
-    m = params.n_users
-    channel = rng.standard_normal((m, n))
-    channel /= math.sqrt(n)
-    symbols = rng.integers(0, 2, size=m) * 2.0 - 1.0
-    noise = rng.standard_normal(m) * math.sqrt(params.noise_var)
+    rng.standard_normal(out=channel)
+    channel /= math.sqrt(params.n_antennas)
+    symbols = rng.integers(0, 2, size=params.n_users) * 2.0 - 1.0
+    noise = rng.standard_normal(params.n_users) * math.sqrt(params.noise_var)
     return Realization(channel=channel, symbols=symbols, noise=noise, seed=seed)
 
 

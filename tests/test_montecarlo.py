@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
@@ -16,6 +17,7 @@ import pytest
 from boxprec import (
     ConfigError,
     DomainError,
+    SolverError,
     SystemParams,
     box_theory,
     generate_realization,
@@ -137,6 +139,120 @@ def test_worker_pool_matches_serial_fold():
     serial = run_experiment(p, trials=4, base_seed=11, workers=1)
     pooled = run_experiment(p, trials=4, base_seed=11, workers=2)
     assert serial == pooled
+
+
+@pytest.mark.parametrize("trials", [1, 2, 5])
+def test_serial_report_matches_a_plain_trial_loop(trials):
+    # Odd and even counts end the draw-ahead loop on either buffer.
+    p = SystemParams(**SMALL)
+    sp = solve_saddle(p)
+    box, quant = box_theory(p, sp), quant_theory(p, sp)
+    plain = []
+    for seed in range(40, 40 + trials):
+        real = generate_realization(p, seed)
+        plain.append(empirical_metrics(real, solve_box_qp(real, p), p, box, quant))
+    expected = montecarlo._report(plain, p, box, quant, 40)
+    assert run_experiment(p, trials, 40, workers=1) == expected
+
+
+def test_serial_draws_run_one_ahead_in_two_buffers(monkeypatch):
+    events = []
+    draw = montecarlo._draw
+
+    def logged_draw(params, seed, channel):
+        events.append(("draw", seed, threading.current_thread(), channel))
+        return draw(params, seed, channel)
+
+    def logged_solve(real, params):
+        events.append(("solve", real.seed, None, real.channel))
+        return solve_box_qp(real, params)
+
+    monkeypatch.setattr(montecarlo, "_draw", logged_draw)
+    monkeypatch.setattr(montecarlo, "solve_box_qp", logged_solve)
+    p = SystemParams(**SMALL)
+    run_experiment(p, 4, 20, workers=1)
+    draws = {seed: (thread, buf) for kind, seed, thread, buf in events if kind == "draw"}
+    solves = {seed: buf for kind, seed, _, buf in events if kind == "solve"}
+    assert sorted(draws) == sorted(solves) == [20, 21, 22, 23]
+    # The first draw is made on the calling thread, the rest on helpers.
+    assert draws[20][0] is threading.main_thread()
+    assert all(draws[s][0] is not threading.main_thread() for s in (21, 22, 23))
+    # Each trial solves in the buffer its draw filled; consecutive trials
+    # alternate between two buffers.
+    assert all(solves[s] is draws[s][1] for s in solves)
+    assert solves[20] is solves[22] and solves[21] is solves[23]
+    assert solves[20] is not solves[21]
+
+
+def test_serial_solver_error_reaches_the_caller(monkeypatch):
+    err = SolverError("trial 3 failed")
+    seeds = []
+    draw = montecarlo._draw
+
+    def slow_draw(*args):
+        # Still drawing when the solve fails, so an unjoined helper shows.
+        time.sleep(0.05)
+        return draw(*args)
+
+    def failing(real, params):
+        seeds.append(real.seed)
+        if len(seeds) == 3:
+            raise err
+        return solve_box_qp(real, params)
+
+    monkeypatch.setattr(montecarlo, "_draw", slow_draw)
+    monkeypatch.setattr(montecarlo, "solve_box_qp", failing)
+    before = threading.active_count()
+    with pytest.raises(SolverError) as info:
+        run_experiment(SystemParams(**SMALL), 5, 7, workers=1)
+    assert info.value is err
+    assert seeds == [7, 8, 9]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("bad", [7, 9])
+def test_serial_draw_error_reaches_the_caller(monkeypatch, bad):
+    # Seed 7 is drawn on the calling thread, seed 9 on a helper.
+    err = RuntimeError(f"draw of seed {bad} failed")
+    draw = montecarlo._draw
+
+    def failing(params, seed, channel):
+        if seed == bad:
+            raise err
+        return draw(params, seed, channel)
+
+    monkeypatch.setattr(montecarlo, "_draw", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        run_experiment(SystemParams(**SMALL), 5, 7, workers=1)
+    assert info.value is err
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "bad", [dict(trials=2.5), dict(base_seed=1.5), dict(trials=True),
+            dict(base_seed=False), dict(trials="3"), dict(base_seed=None)],
+)
+def test_rejects_non_integer_trials_and_seed(monkeypatch, bad, workers):
+    def never(*_):
+        raise AssertionError("trials started before the arguments were checked")
+
+    monkeypatch.setattr(montecarlo, "_run_serial", never)
+    monkeypatch.setattr(montecarlo, "_run_pooled", never)
+    args = {"trials": 2, "base_seed": 0, **bad}
+    (name,) = bad
+    before = threading.active_count()
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        run_experiment(SystemParams(**SMALL), workers=workers, **args)
+    assert threading.active_count() == before
+
+
+def test_accepts_numpy_integer_trials_and_seed():
+    p = SystemParams(**SMALL)
+    rep = run_experiment(p, np.int64(2), np.uint16(5), workers=1)
+    assert rep == run_experiment(p, 2, 5, workers=1)
+    assert type(rep.trials) is int and type(rep.base_seed) is int
 
 
 def test_pooled_call_restores_blas_env(monkeypatch):

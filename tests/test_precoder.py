@@ -14,7 +14,7 @@ from boxprec import (
     solve_saddle,
 )
 from boxprec.moments import q_tail
-from boxprec.precoder import Realization
+from boxprec.precoder import Realization, _draw
 from boxprec.presets import FIG3_REG
 
 from oracles import box_qp_by_enumeration, box_qp_certificate
@@ -38,19 +38,25 @@ def test_realization_is_seed_deterministic():
 def test_realization_follows_the_seed_contract():
     # Channel, then symbols, then noise, all from one default_rng stream;
     # the channel is scaled after drawing, so its bytes are the plain
-    # quotient.
+    # quotient.  A draw into a reused buffer, which holds another seed's
+    # channel beforehand, gives the same bytes.
     p = SystemParams(**PINNED, n_antennas=50)
     m, n = p.n_users, p.n_antennas
+    buffer = generate_realization(p, 999).channel
     for seed in (0, 123, 2**40 + 7):
         real = generate_realization(p, seed)
         rng = np.random.default_rng(seed)
         channel = rng.standard_normal((m, n)) / math.sqrt(n)
         symbols = rng.integers(0, 2, size=m) * 2.0 - 1.0
         noise = rng.standard_normal(m) * math.sqrt(p.noise_var)
-        assert real.channel.tobytes() == channel.tobytes()
-        assert real.symbols.tobytes() == symbols.tobytes()
-        assert real.noise.tobytes() == noise.tobytes()
-        assert real.seed == seed
+        assert not np.array_equal(buffer, channel)
+        reused = _draw(p, seed, buffer)
+        assert reused.channel is buffer
+        for r in (real, reused):
+            assert r.channel.tobytes() == channel.tobytes()
+            assert r.symbols.tobytes() == symbols.tobytes()
+            assert r.noise.tobytes() == noise.tobytes()
+            assert r.seed == seed
 
 
 def test_channel_variance_scales_with_array_size():
