@@ -33,9 +33,11 @@ serial loop in the calling process that keeps one draw ahead: while trial
 ``i + 1`` into the other of two channel buffers allocated once per call.
 At the fig3 size with one BLAS thread a draw takes about 3.3 ms and a
 ridge-only QP about 2 ms, so the overlap hides most of the draw when the
-helper has a core of its own.  The draw calls no BLAS, so the one-thread
-pin, held over the whole loop, still fixes the bytes.  The helper is
-joined before the call returns or raises.
+helper has a core of its own.  A process whose affinity mask holds one
+CPU has no core to spare, and draws each realization on the calling
+thread instead.  The draw calls no BLAS, so the one-thread pin, held over
+the whole loop, still fixes the bytes.  The helper is joined before the
+call returns or raises.
 """
 
 from __future__ import annotations
@@ -279,6 +281,14 @@ def _draw_into(out: list, *args) -> None:
         out.append(exc)
 
 
+def _spare_cpu() -> bool:
+    """Whether this process may run on more than one CPU."""
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) > 1
+
+
 def _run_serial(params, seeds: range, box, quant) -> list[TrialMetrics]:
     """Run the trials in this process, drawing each one a trial ahead.
 
@@ -286,13 +296,20 @@ def _run_serial(params, seeds: range, box, quant) -> list[TrialMetrics]:
     trial ``i + 1`` into the channel buffer trial ``i - 1`` used; a
     trial's metrics keep no reference to its channel, so the buffer is
     free by then.  At most one draw is in flight, and it is joined before
-    the next trial starts or any exception leaves this function.
+    the next trial starts or any exception leaves this function.  A
+    process allowed on one CPU only has nothing to overlap, so it runs
+    the trials one after another on this thread.
     """
-    shape = (params.n_users, params.n_antennas)
-    buffers = (np.empty(shape), np.empty(shape))
-    results = []
     # The draw calls no BLAS, so one pin covers the whole loop.
     with _one_blas_thread():
+        if len(seeds) == 1 or not _spare_cpu():
+            return [
+                _trial(generate_realization(params, seed), params, box, quant)
+                for seed in seeds
+            ]
+        shape = (params.n_users, params.n_antennas)
+        buffers = (np.empty(shape), np.empty(shape))
+        results = []
         real = _draw(params, seeds[0], buffers[0])
         for i in range(1, len(seeds)):
             drawn: list = []
@@ -458,11 +475,12 @@ def run_experiment(
     ``workers`` (default: ``BOXPREC_WORKERS``, then the CPU count) sets
     the pool size.  With one worker or one trial the trials run in this
     process with numpy's BLAS pinned to one thread, as in the pool.
-    While trial ``i`` solves and is measured, a helper thread draws
-    realization ``i + 1`` into the other of two channel buffers, which
-    the call allocates once; the helper is joined before this returns or
-    raises, and an exception from a draw is re-raised here as it was
-    raised.  Either way the report is the same bytes.
+    If the process may use more than one CPU, a helper thread draws
+    realization ``i + 1`` while trial ``i`` solves and is measured, into
+    the other of two channel buffers, which the call allocates once; the
+    helper is joined before this returns or raises, and an exception from
+    a draw is re-raised here as it was raised.  Either way the report is
+    the same bytes.
     """
     trials = _integer("trials", trials)
     base_seed = _integer("base_seed", base_seed)

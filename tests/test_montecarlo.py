@@ -141,9 +141,17 @@ def test_worker_pool_matches_serial_fold():
     assert serial == pooled
 
 
+@pytest.fixture
+def spare_cpu(monkeypatch):
+    """Take the draw-ahead path whatever CPUs this process may use."""
+    monkeypatch.setattr(montecarlo, "_spare_cpu", lambda: True)
+
+
+@pytest.mark.parametrize("spare", [True, False])
 @pytest.mark.parametrize("trials", [1, 2, 5])
-def test_serial_report_matches_a_plain_trial_loop(trials):
+def test_serial_report_matches_a_plain_trial_loop(monkeypatch, trials, spare):
     # Odd and even counts end the draw-ahead loop on either buffer.
+    monkeypatch.setattr(montecarlo, "_spare_cpu", lambda: spare)
     p = SystemParams(**SMALL)
     sp = solve_saddle(p)
     box, quant = box_theory(p, sp), quant_theory(p, sp)
@@ -155,7 +163,7 @@ def test_serial_report_matches_a_plain_trial_loop(trials):
     assert run_experiment(p, trials, 40, workers=1) == expected
 
 
-def test_serial_draws_run_one_ahead_in_two_buffers(monkeypatch):
+def test_serial_draws_run_one_ahead_in_two_buffers(monkeypatch, spare_cpu):
     events = []
     draw = montecarlo._draw
 
@@ -184,7 +192,33 @@ def test_serial_draws_run_one_ahead_in_two_buffers(monkeypatch):
     assert solves[20] is not solves[21]
 
 
-def test_serial_solver_error_reaches_the_caller(monkeypatch):
+def test_serial_run_on_one_cpu_draws_on_the_calling_thread(monkeypatch):
+    # With no second CPU the helper could only take turns with the solve.
+    threads = []
+    generate = montecarlo.generate_realization
+
+    def logged_generate(params, seed):
+        threads.append(threading.current_thread())
+        return generate(params, seed)
+
+    def no_buffered_draw(*_):
+        raise AssertionError("buffered draw on a single CPU")
+
+    monkeypatch.setattr(montecarlo, "_spare_cpu", lambda: False)
+    monkeypatch.setattr(montecarlo, "generate_realization", logged_generate)
+    monkeypatch.setattr(montecarlo, "_draw", no_buffered_draw)
+    run_experiment(SystemParams(**SMALL), 4, 20, workers=1)
+    assert threads == [threading.main_thread()] * 4
+
+
+def test_spare_cpu_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert not montecarlo._spare_cpu()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert montecarlo._spare_cpu()
+
+
+def test_serial_solver_error_reaches_the_caller(monkeypatch, spare_cpu):
     err = SolverError("trial 3 failed")
     seeds = []
     draw = montecarlo._draw
@@ -211,7 +245,7 @@ def test_serial_solver_error_reaches_the_caller(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [7, 9])
-def test_serial_draw_error_reaches_the_caller(monkeypatch, bad):
+def test_serial_draw_error_reaches_the_caller(monkeypatch, spare_cpu, bad):
     # Seed 7 is drawn on the calling thread, seed 9 on a helper.
     err = RuntimeError(f"draw of seed {bad} failed")
     draw = montecarlo._draw
