@@ -26,11 +26,13 @@ as soon as the process that built the pool dies, so a killed caller
 leaves no workers behind.
 
 The pool size comes from the ``BOXPREC_WORKERS`` environment variable and
-defaults to the available parallelism, and a value that is not an integer
-is a ``ConfigError``.  One worker (or one trial) short-circuits to a
-serial loop in the calling process that keeps one draw ahead: while trial
-``i`` solves its QP and measures it, a helper thread draws realization
-``i + 1`` into the other of two channel buffers allocated once per call.
+defaults to the number of CPUs in the process's affinity mask (the CPU
+count where the platform has no affinity call), and a value that is not
+an integer is a ``ConfigError``.  One worker (or one trial)
+short-circuits to a serial loop in the calling process that keeps one
+draw ahead: while trial ``i`` solves its QP and measures it, a helper
+thread draws realization ``i + 1`` into the other of two channel buffers
+allocated once per call.
 At the fig3 size with one BLAS thread a draw takes about 3.3 ms and a
 ridge-only QP about 2 ms, so the overlap hides most of the draw when the
 helper has a core of its own.  A process whose affinity mask holds one
@@ -81,9 +83,9 @@ class TrialMetrics:
     """Raw per-trial measurements (quant fields None when not evaluated).
 
     ``iterations`` is the box QP's work, as in
-    :class:`~boxprec.precoder.PrecoderSolution`: trial gradient steps,
-    accepted or backtracked, plus linear solves (the ridge start and
-    each active-set or free-block solve).
+    :class:`~boxprec.precoder.PrecoderSolution`: the start, trial
+    gradient steps (accepted or backtracked) and active-set or
+    free-block solves.
     """
 
     err_box: int
@@ -281,12 +283,17 @@ def _draw_into(out: list, *args) -> None:
         out.append(exc)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _spare_cpu() -> bool:
     """Whether this process may run on more than one CPU."""
-    try:
-        return len(os.sched_getaffinity(0)) > 1
-    except AttributeError:  # no affinity call on this platform
-        return (os.cpu_count() or 1) > 1
+    return _usable_cpus() > 1
 
 
 def _run_serial(params, seeds: range, box, quant) -> list[TrialMetrics]:
@@ -342,7 +349,7 @@ def _worker_count(workers: int | None) -> int:
             raise ConfigError(
                 f"BOXPREC_WORKERS must be an integer, got {env!r}"
             ) from None
-    return os.cpu_count() or 1
+    return _usable_cpus()
 
 
 def _exit_with_parent() -> None:
@@ -472,9 +479,10 @@ def run_experiment(
 
     Trial ``i`` draws from seed ``base_seed + i``; ``trials`` and
     ``base_seed`` must be integers (not bools), else ``DomainError``.
-    ``workers`` (default: ``BOXPREC_WORKERS``, then the CPU count) sets
-    the pool size.  With one worker or one trial the trials run in this
-    process with numpy's BLAS pinned to one thread, as in the pool.
+    ``workers`` (default: ``BOXPREC_WORKERS``, then the number of CPUs
+    this process may run on) sets the pool size.  With one worker or one
+    trial the trials run in this process with numpy's BLAS pinned to one
+    thread, as in the pool.
     If the process may use more than one CPU, a helper thread draws
     realization ``i + 1`` while trial ``i`` solves and is measured, into
     the other of two channel buffers, which the call allocates once; the

@@ -5,9 +5,9 @@ The transmit vector is obtained in two stages.  First solve
     minimize  ||H x - sqrt(target_power) s||^2 / n + reg ||x||^2 / n
     subject to ||x||_inf <= amp
 
-exactly for the relaxed vector ``x_hat`` (a ridge start, accelerated
-projected gradient to a loose tolerance, then a primal-dual active-set
-finish), then map it through the one-bit DAC,
+exactly for the relaxed vector ``x_hat`` (a start chosen from the
+saddle point, accelerated projected gradient to a loose tolerance, then a
+primal-dual active-set finish), then map it through the one-bit DAC,
 ``x_q = level * sign(x_hat)`` with ``sign(0) := +1``.
 """
 
@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
-from .saddle import SystemParams
+from .errors import DomainError, SolverError
+from .moments import q_tail
+from .saddle import SystemParams, solve_saddle
 
 __all__ = [
     "PrecoderSolution",
@@ -54,9 +55,9 @@ class Realization:
 class PrecoderSolution:
     """Output of :func:`solve_box_qp`.
 
-    ``iterations`` counts trial gradient steps, accepted or backtracked,
-    plus linear solves (the ridge start and each active-set or
-    free-block solve): 1 when the ridge solution lies inside the box.
+    ``iterations`` counts the start, trial gradient steps (accepted or
+    backtracked) and active-set or free-block solves: 1 when the ridge
+    start lies inside the box.
     """
 
     x_hat: np.ndarray
@@ -102,10 +103,20 @@ def solve_box_qp(
     Three phases share one gram ``G`` of the channel's smaller side
     (``H H^T`` when ``m <= n``, else ``H^T H``):
 
-    1. *Ridge start.*  The unconstrained ridge solution, through ``G``.
-       When it lies strictly inside the box (always when ``amp = inf``)
-       it is the exact answer.
-    2. *Accelerated projected gradient* from the clipped ridge point,
+    1. *Start.*  The saddle point predicts the law of each entry,
+       ``clamp(H / alpha, [-amp, amp])``, so a fraction
+       ``1 - 2 Q(amp alpha)`` of the ``n`` coordinates is free.  With a
+       finite box, ``m <= n`` and fewer than ``m`` coordinates predicted
+       free, the start is the clipped matched filter
+       ``H^T t / (1 + reg)``: the ridge point would mostly be clipped
+       away, and no free block that small reads ``G``, so ``G`` is formed
+       only if a free-block solve with at least ``m`` free coordinates
+       asks for it.  Otherwise, or when the saddle solve fails, the start
+       is the unconstrained ridge solution, through ``G``; when it lies
+       strictly inside the box (always when ``amp = inf``) it is the
+       exact answer.  The prediction only picks the start: every
+       returned point passes the same acceptance test.
+    2. *Accelerated projected gradient* from the clipped start,
        down to a KKT residual of ``1e-5``, with momentum restart whenever
        the accelerated candidate raises the cost.  The step ``1/L``
        backtracks on the exact sufficient-decrease test (Beck & Teboulle
@@ -175,13 +186,20 @@ def solve_box_qp(
             viol = np.where(x <= -amp, np.maximum(-g, 0.0), viol)
         return float(viol.max()) if viol.size else 0.0
 
-    x, gram = _ridge(channel, target, reg)
     iterations = 1
-    # The Hessian is (2/n)(H^T H + reg I); trace(H^T H) = trace(G).
-    dual = (2.0 / n) * (float(np.trace(gram)) / n + reg)
+    if _few_free(params, m, n):
+        x = channel.T @ target / (1.0 + reg)
+        gram = None
+        trace = float(np.vdot(channel, channel))
+        interior = False
+    else:
+        x, gram = _ridge(channel, target, reg)
+        trace = float(np.trace(gram))
+        interior = not bounded or float(np.abs(x).max()) < amp
+    # The Hessian is (2/n)(H^T H + reg I); trace(H^T H) = trace(G) = ||H||_F^2.
+    dual = (2.0 / n) * (trace / n + reg)
     if dual == 0.0:
         raise SolverError("zero curvature: channel and reg are both zero")
-    interior = not bounded or float(np.abs(x).max()) < amp
     x = project(x)
     res, cost, grad = evaluate(x)
     resid = kkt(x, grad)
@@ -190,6 +208,7 @@ def solve_box_qp(
 
     def free_solve(up: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """``up``/``lo`` fixed on the box, the free block solved exactly."""
+        nonlocal gram
         x = np.where(up, amp, np.where(lo, -amp, 0.0))
         free = ~(up | lo)
         rhs = target - channel @ x
@@ -197,9 +216,12 @@ def solve_box_qp(
         if n_free < m:
             x[free], _ = _ridge(channel[:, free], rhs, reg)
             return x
-        # m <= n_free <= n, so gram is H H^T: take the free block's gram
-        # from it by the cheaper route, and H_F^T w from H^T w.
+        # m <= n_free <= n, so gram is H H^T (formed here when the start
+        # skipped it): take the free block's gram from it by the cheaper
+        # route, and H_F^T w from H^T w.
         if n - n_free < n_free:
+            if gram is None:
+                gram = channel @ channel.T
             h_act = channel[:, ~free]
             system = gram - h_act @ h_act.T
         else:
@@ -320,6 +342,21 @@ def solve_box_qp(
                 f"no convergence in {max_iter} iterations; last KKT residual {resid:.3e}"
             )
         handover /= 10.0
+
+
+def _few_free(params: SystemParams, m: int, n: int) -> bool:
+    """Whether the saddle point predicts fewer than ``m`` of ``n``
+    coordinates off a finite box, with ``m <= n``.
+
+    A saddle solve that raises predicts nothing (False).
+    """
+    if not math.isfinite(params.amp) or m > n:
+        return False
+    try:
+        alpha = solve_saddle(params).alpha
+    except (DomainError, SolverError):
+        return False
+    return n * (1.0 - 2.0 * q_tail(params.amp * alpha)) < m
 
 
 def _ridge(

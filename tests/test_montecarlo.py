@@ -218,6 +218,18 @@ def test_spare_cpu_follows_the_affinity_mask(monkeypatch):
     assert montecarlo._spare_cpu()
 
 
+def test_default_worker_count_follows_the_affinity_mask(monkeypatch):
+    # One usable CPU on a many-CPU host: the default is one worker.
+    monkeypatch.delenv("BOXPREC_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _worker_count(None) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert _worker_count(None) == 2
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _worker_count(None) == 64
+
+
 def test_serial_solver_error_reaches_the_caller(monkeypatch, spare_cpu):
     err = SolverError("trial 3 failed")
     seeds = []

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxprec import (
+    DomainError,
     SolverError,
     SystemParams,
     generate_realization,
@@ -13,6 +14,7 @@ from boxprec import (
     solve_box_qp,
     solve_saddle,
 )
+from boxprec import precoder
 from boxprec.moments import q_tail
 from boxprec.precoder import Realization, _draw
 from boxprec.presets import FIG3_REG
@@ -136,10 +138,11 @@ def _clipped_ridge(real, p):
 
 
 def test_iteration_budget_is_enforced():
-    # The ridge start is the first iteration, and on this heavily clipped
-    # instance the clipped ridge point is far from stationary, so a
-    # one-iteration budget cannot be met.  Nor can five: every trial
-    # gradient step, accepted or backtracked, spends one of them.
+    # The start is the first iteration, and on this heavily clipped
+    # instance neither the clipped ridge point nor the clipped matched
+    # filter (the start taken here) is stationary, so a one-iteration
+    # budget cannot be met.  Nor can five: every trial gradient step,
+    # accepted or backtracked, spends one of them.
     p = SystemParams(user_ratio=0.2, reg=0.001, amp=0.2, noise_var=0.09, n_antennas=200)
     real = generate_realization(p, 4)
     assert _cost_and_kkt(real, p, _clipped_ridge(real, p))[1] > 1e-6
@@ -248,6 +251,85 @@ def test_certified_where_power_iteration_undershoots():
     assert n_active > 0 and n_free > 0
 
 
+def _ridge_shapes(monkeypatch, p, seed):
+    """Solve ``(p, seed)`` and return the solution and the channel shapes
+    that ``_ridge`` was called with."""
+    shapes = []
+    ridge = precoder._ridge
+
+    def logged_ridge(h, rhs, reg):
+        shapes.append(h.shape)
+        return ridge(h, rhs, reg)
+
+    monkeypatch.setattr(precoder, "_ridge", logged_ridge)
+    real = generate_realization(p, seed)
+    sol = solve_box_qp(real, p)
+    monkeypatch.undo()
+    return real, sol, shapes
+
+
+@pytest.mark.parametrize(
+    "kw, seed",
+    [
+        (dict(user_ratio=0.2, reg=FIG3_REG, amp=0.2782559402207124, n_antennas=1000), 90041),
+        (dict(user_ratio=0.15, reg=0.001, amp=0.47287080450158786, n_antennas=800), 40150),
+    ],
+    ids=["fig3-amp0.278", "fig4-left-tuned"],
+)
+def test_tight_box_starts_without_the_full_ridge_solve(monkeypatch, kw, seed):
+    # The saddle point predicts fewer free coordinates than users, so the
+    # start is the clipped matched filter and no _ridge call sees the full
+    # channel.  The answer is certified, and it is the same bytes as with
+    # the ridge start, which a failing saddle solve falls back to.
+    p = SystemParams(noise_var=0.09, **kw)
+    alpha = solve_saddle(p).alpha
+    assert p.n_antennas * (1.0 - 2.0 * q_tail(p.amp * alpha)) < p.n_users
+    real, sol, shapes = _ridge_shapes(monkeypatch, p, seed)
+    assert (p.n_users, p.n_antennas) not in shapes
+    deviation, worst = box_qp_certificate(
+        real.channel, real.symbols, p.reg, p.amp, p.target_power, sol.x_hat
+    )
+    assert deviation < 1e-10
+    assert worst >= -1e-12
+
+    def no_saddle(_):
+        raise SolverError("forced")
+
+    monkeypatch.setattr(precoder, "solve_saddle", no_saddle)
+    _, fallback, shapes = _ridge_shapes(monkeypatch, p, seed)
+    assert shapes[0] == (p.n_users, p.n_antennas)
+    assert np.array_equal(sol.x_hat, fallback.x_hat)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        # Predicted free 752 >= m = 200.
+        dict(user_ratio=0.2, reg=FIG3_REG, amp=0.774263682681127, n_antennas=1000),
+        # More users than antennas: the gram is H^T H.
+        dict(user_ratio=1.25, reg=0.0, amp=0.3, n_antennas=80),
+    ],
+    ids=["fig3-amp0.774", "tall"],
+)
+def test_ridge_start_where_many_coordinates_are_free(monkeypatch, kw):
+    p = SystemParams(noise_var=0.09, **kw)
+    _, sol, shapes = _ridge_shapes(monkeypatch, p, 5)
+    assert shapes[0] == (p.n_users, p.n_antennas)
+    assert sol.kkt_residual < 1e-9
+
+
+@pytest.mark.parametrize("exc", [SolverError("no saddle"), DomainError("degenerate")])
+def test_failed_saddle_solve_falls_back_to_the_ridge_start(monkeypatch, exc):
+    def failing(_):
+        raise exc
+
+    p = SystemParams(user_ratio=0.2, reg=0.001, amp=0.2, noise_var=0.09, n_antennas=200)
+    monkeypatch.setattr(precoder, "solve_saddle", failing)
+    _, sol, shapes = _ridge_shapes(monkeypatch, p, 4)
+    assert shapes[0] == (p.n_users, p.n_antennas)
+    assert sol.kkt_residual < 1e-9
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     user_ratio=st.floats(min_value=0.05, max_value=3.0),
@@ -293,6 +375,21 @@ def test_wide_polish_matches_dense_ridge_solve():
             h_free.T @ h_free + p.reg * np.eye(n_free), h_free.T @ rhs
         )
         assert float(np.abs(sol.x_hat[free] - x_ref).max()) < 1e-10
+
+
+def test_matched_filter_start_forms_the_gram_when_a_wide_block_needs_it(monkeypatch):
+    # A prediction gone wrong: the matched-filter start on a box where
+    # most coordinates are free.  The downdated free-block solve then
+    # forms G itself, and the answer is the ridge start's.
+    p = SystemParams(user_ratio=0.2, reg=0.01, amp=0.8, noise_var=0.09, n_antennas=400)
+    real = generate_realization(p, 7)
+    expected = solve_box_qp(real, p)
+    monkeypatch.setattr(precoder, "_few_free", lambda *_: True)
+    sol = solve_box_qp(real, p)
+    free = int(np.count_nonzero(np.abs(sol.x_hat) < p.amp))
+    assert p.n_users <= free and p.n_antennas - free < free
+    assert sol.kkt_residual < 1e-9
+    assert float(np.abs(sol.x_hat - expected.x_hat).max()) < 1e-10
 
 
 def test_loose_tolerance_after_rejected_active_set():
