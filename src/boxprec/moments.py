@@ -8,13 +8,21 @@ form; the test suite cross-checks them against adaptive quadrature.
 
 ``amp = math.inf`` selects the unconstrained response ``X = H / alpha`` and
 is handled as an explicit branch, not as a large float.
+
+The ``*_array`` twins evaluate the same closed forms over arrays of
+points for the tuning grid.  They repeat each scalar step in the scalar
+code's order and call the scalar ``math`` routines per element, so every
+element is the float the scalar function returns.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -154,3 +162,75 @@ def _clip_sq_xh_m2(alpha: float, amp: float) -> tuple[float, float, float]:
     e_sq = m2 * inv * inv + 2.0 * amp * amp * q_tail(t)
     e_xh = m2 * inv + 2.0 * amp * normal_pdf(t)
     return e_sq, e_xh, m2
+
+
+def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn`` applied to every element of ``x``.
+
+    Goes through the scalar ``math`` routine, not a numpy ufunc, whose
+    vectorized ``exp``/``erf`` may round differently.
+    """
+    return np.fromiter(map(fn, x.tolist()), float, count=x.size)
+
+
+def _quotient(
+    num, den: np.ndarray, zero: np.ndarray, taken: np.ndarray | bool = True
+) -> np.ndarray:
+    """``num / den`` elementwise; flags in ``zero`` the lanes that divide by 0.
+
+    ``taken`` marks the lanes whose scalar path makes this division.
+    Python floats raise ``ZeroDivisionError`` where numpy returns inf or
+    NaN, so callers hand the flagged lanes back to the scalar functions.
+    """
+    zero |= taken & (den == 0.0)
+    return num / den
+
+
+def _clip_sq_xh_m2_array(
+    alpha: np.ndarray, amp: np.ndarray, zero: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_clip_sq_xh_m2` over arrays; ``alpha`` may hold ``inf``."""
+    inv = _quotient(1.0, alpha, zero)
+    t = amp * alpha
+    e_sq, e_xh, m2 = inv * inv, inv.copy(), np.ones_like(inv)
+    near = ~(t >= 40.0)
+    t, amp, inv = t[near], amp[near], inv[near]
+    pdf = _each(math.exp, -0.5 * t * t) * _INV_SQRT_2PI
+    m2_near = _m2_array(t, pdf)
+    q = 0.5 * _each(math.erfc, t / _SQRT2)
+    e_sq[near] = m2_near * inv * inv + 2.0 * amp * amp * q
+    e_xh[near] = m2_near * inv + 2.0 * amp * pdf
+    m2[near] = m2_near
+    return e_sq, e_xh, m2
+
+
+def _m2_array(t: np.ndarray, pdf: np.ndarray) -> np.ndarray:
+    """:func:`_m2` below ``t = 40``, given ``normal_pdf(t)``."""
+    out = np.empty_like(t)
+    mid = t >= 0.1
+    tm = t[mid]
+    out[mid] = _each(math.erf, tm / _SQRT2) - 2.0 * tm * pdf[mid]
+    ts = t[~mid]
+    u = ts * ts
+    acc = np.zeros_like(u)
+    for c in reversed(_M2_SERIES):
+        acc = acc * u + c
+    out[~mid] = _SQRT_2_OVER_PI * ts * u * acc
+    return out
+
+
+def _e_abs_array(alpha: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """``clip_moments(alpha, amp).e_abs`` over arrays of ``alpha > 0``.
+
+    At ``alpha = inf`` the closed form gives the explicit branch's 0.
+    """
+    inv = 1.0 / alpha
+    t = amp * alpha
+    e_abs = _SQRT_2_OVER_PI * inv
+    near = ~(t >= 40.0)
+    t, amp, inv = t[near], amp[near], inv[near]
+    q = 0.5 * _each(math.erfc, t / _SQRT2)
+    e_abs[near] = (
+        -_SQRT_2_OVER_PI * _each(math.expm1, -0.5 * t * t) * inv + 2.0 * amp * q
+    )
+    return e_abs

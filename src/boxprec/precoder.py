@@ -214,7 +214,9 @@ def solve_box_qp(
         rhs = target - channel @ x
         n_free = int(np.count_nonzero(free))
         if n_free < m:
-            x[free], _ = _ridge(channel[:, free], rhs, reg)
+            # A tall block: its gram h^T h serves this one solve only.
+            h_free = channel[:, free]
+            x[free] = _ridge_with(h_free, h_free.T @ h_free, rhs, reg)
             return x
         # m <= n_free <= n, so gram is H H^T (formed here when the start
         # skipped it): take the free block's gram from it by the cheaper
@@ -370,16 +372,22 @@ def _ridge(
     nonsingular by forbidding reg = 0 when m < n.  The returned gram is
     the unregularized one.
     """
-    wide = h.shape[0] <= h.shape[1]
-    gram = h @ h.T if wide else h.T @ h
+    gram = h @ h.T if h.shape[0] <= h.shape[1] else h.T @ h
+    return _ridge_with(h, gram.copy(), rhs, reg), gram
+
+
+def _ridge_with(
+    h: np.ndarray, system: np.ndarray, rhs: np.ndarray, reg: float
+) -> np.ndarray:
+    """:func:`_ridge`'s minimizer, given the gram it would solve with as
+    ``system``, which is shifted in place."""
     try:
-        if wide:
-            z = h.T @ _shifted_solve(gram.copy(), reg, rhs)
-        else:
-            z = _shifted_solve(gram.copy(), reg, h.T @ rhs)
+        if h.shape[0] <= h.shape[1]:
+            return h.T @ _shifted_solve(system, reg, rhs)
+        return _shifted_solve(system, reg, h.T @ rhs)
     except np.linalg.LinAlgError:
         z, *_ = np.linalg.lstsq(h, rhs, rcond=None)
-    return z, gram
+        return z
 
 
 def _shifted_solve(system: np.ndarray, reg: float, rhs: np.ndarray) -> np.ndarray:

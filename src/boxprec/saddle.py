@@ -32,6 +32,9 @@ iteration stops when the residual is at rounding level, 1e-15 of
 relative, and the returned point is checked against the 1e-9 contract on
 both residuals.  :func:`boxprec.tuning.tune_target_power` uses the same
 iteration, since the transmit power at the saddle is ``E[X^2](alpha)``.
+:func:`_solve_saddle_array` runs it for a whole tuning grid at once, one
+bracket per point, each step in the scalar code's order, so every point
+gets the floats :func:`solve_saddle` returns.
 Existence and uniqueness hold whenever ``reg > 0``, or ``reg = 0`` with
 ``user_ratio >= 1``; the constructor of :class:`SystemParams` enforces
 exactly that.
@@ -43,8 +46,17 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, SolverError
-from .moments import ClipMoments, _clip_sq_xh_m2, clip_moments
+from .moments import (
+    ClipMoments,
+    _clip_sq_xh_m2,
+    _clip_sq_xh_m2_array,
+    _e_abs_array,
+    _quotient,
+    clip_moments,
+)
 
 __all__ = [
     "SaddlePoint",
@@ -262,6 +274,75 @@ def _falling_root(
     raise SolverError(f"alpha iteration did not converge (residual {value:.3e})")
 
 
+def _tau_beta_array(
+    alpha: np.ndarray,
+    e_xh: np.ndarray,
+    m2: np.ndarray,
+    reg: np.ndarray,
+    delta: float,
+    zero: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_tau_beta` over arrays, each lane taking its own branch."""
+    c = delta - alpha * e_xh - reg
+    ridge = reg != 0.0
+    root = np.sqrt(c * c + 4.0 * delta * reg)
+    up = ridge & (c >= 0.0)
+    u = np.where(
+        up, _quotient(2.0 * reg, c + root, zero, up), (root - c) / (2.0 * delta)
+    )
+    beta = np.where(
+        up,
+        2.0 * (c + reg + delta * u) / alpha,
+        _quotient(2.0 * reg * (1.0 + u), alpha * u, zero, ridge & ~up),
+    )
+    tau = (1.0 + u) / alpha
+    dtau = (_quotient(u * (e_xh - m2 / alpha), root, zero, ridge) - tau) / alpha
+    return (
+        np.where(ridge, tau, 1.0 / alpha),
+        np.where(ridge, beta, 2.0 * c / alpha),
+        np.where(ridge, dtau, _quotient(-1.0, alpha * alpha, zero, ~ridge)),
+    )
+
+
+def _falling_root_array(
+    f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    alpha: np.ndarray,
+    zero: np.ndarray,
+) -> np.ndarray:
+    """:func:`_falling_root` for many lanes at once, one bracket each.
+
+    ``f(alpha, lanes)`` evaluates the lanes ``lanes`` (indices) at
+    ``alpha`` and flags in ``zero`` those that divided by zero, which stop
+    there.  Returns the mask of lanes where :func:`_falling_root` returns;
+    their last call of ``f`` was at the root.  Lanes neither flagged nor
+    returned are those where it raises :class:`SolverError`.
+    """
+    lo = np.zeros_like(alpha)
+    hi = np.full_like(alpha, math.inf)
+    alpha = alpha.copy()
+    converged = np.zeros(alpha.shape, bool)
+    lanes = np.flatnonzero(~zero)
+    for _ in range(_MAX_ITER):
+        if not lanes.size:
+            break
+        a = alpha[lanes]
+        value, slope, scale = f(a, lanes)
+        stop = np.abs(value) <= 1e-15 * scale
+        rising = value > 0.0
+        lo_l = np.where(rising, a, lo[lanes])
+        hi_l = np.where(rising, hi[lanes], a)
+        step = np.divide(value, slope, out=np.full_like(a, math.nan), where=slope < 0.0)
+        new = a - step
+        outside = ~((lo_l < new) & (new < hi_l))
+        new[outside] = np.where(np.isinf(hi_l), 2.0 * lo_l, 0.5 * (lo_l + hi_l))[outside]
+        stop |= np.abs(new - a) <= _STEP_TOL * a
+        failed = zero[lanes]
+        converged[lanes[stop & ~failed]] = True
+        alpha[lanes], lo[lanes], hi[lanes] = new, lo_l, hi_l
+        lanes = lanes[~(stop | failed)]
+    return converged
+
+
 def solve_saddle(params: SystemParams) -> SaddlePoint:
     """Solve the scalar saddle-point system for ``params``.
 
@@ -295,6 +376,60 @@ def solve_saddle(params: SystemParams) -> SaddlePoint:
     _falling_root(power_residual, math.sqrt(free / rho) if free > 0.0 else 1.0)
     tau, beta = points[-1]
     return _assemble(tau, beta, params, len(points))
+
+
+def _solve_saddle_array(
+    delta: float, rho: float, reg: np.ndarray, amp: np.ndarray, zero: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`solve_saddle` at ``user_ratio = delta``, ``target_power = rho``
+    for arrays of ``reg`` and ``amp``, every lane a valid, unique point.
+
+    Returns ``(tau, e_abs, solved)``: ``solved`` marks the lanes where
+    :func:`solve_saddle` returns, and there ``tau`` and ``e_abs`` are its
+    point's ``tau`` and ``moments.e_abs``.  ``zero`` flags the lanes where
+    it divides by zero.  Meant to run under ``np.errstate(all="ignore")``:
+    numpy warns where Python floats give inf or NaN silently.
+    """
+    n = reg.size
+    ones = np.ones(n)
+    tau_free = _tau_beta_array(ones, ones, ones, reg, delta, zero)[0]
+    free = delta * tau_free * tau_free - 1.0
+    start = np.where(free > 0.0, np.sqrt(free / rho), 1.0)
+    tau = np.empty(n)
+    beta = np.empty(n)
+
+    def power_residual(
+        alpha: np.ndarray, lanes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        z = np.zeros(lanes.size, bool)
+        e_sq, e_xh, m2 = _clip_sq_xh_m2_array(alpha, amp[lanes], z)
+        t, b, dtau = _tau_beta_array(alpha, e_xh, m2, reg[lanes], delta, z)
+        tau[lanes], beta[lanes] = t, b
+        res = delta * t * t - rho - e_sq
+        slope = 2.0 * delta * t * dtau + _quotient(2.0 * m2, alpha * alpha * alpha, z)
+        zero[lanes] |= z
+        return res, slope, rho + delta * t * t
+
+    lanes = np.flatnonzero(_falling_root_array(power_residual, start, zero))
+    # _assemble: alpha recomputed from (tau, beta), then the residual check.
+    t, b, r = tau[lanes], beta[lanes], reg[lanes]
+    z = np.zeros(lanes.size, bool)
+    ridge = r != 0.0
+    inv = _quotient(1.0, t, z)
+    alpha = np.where(ridge, inv + _quotient(2.0 * r, b, z, ridge), inv)
+    zero[lanes] |= z
+    keep = ~z & (alpha > 0.0)  # clip_moments refuses NaN and alpha <= 0
+    lanes, t, b, alpha = lanes[keep], t[keep], b[keep], alpha[keep]
+    a = amp[lanes]
+    e_sq, e_xh, _ = _clip_sq_xh_m2_array(alpha, a, np.zeros(lanes.size, bool))
+    res_power = t * t * delta - rho - e_sq
+    res_beta = b - 2.0 * t * delta + 2.0 * e_xh
+    keep = ~((np.abs(res_power) > _RESIDUAL_TOL) | (np.abs(res_beta) > _RESIDUAL_TOL))
+    solved = np.zeros(n, bool)
+    solved[lanes[keep]] = True
+    e_abs = np.full(n, math.nan)
+    e_abs[lanes[keep]] = _e_abs_array(alpha[keep], a[keep])
+    return tau, e_abs, solved
 
 
 def _assemble(

@@ -22,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .moments import q_tail
+from .moments import _SQRT2, _each, _quotient, q_tail
 from .saddle import _RESIDUAL_TOL, SaddlePoint, SystemParams, saddle_residuals
 
 __all__ = [
@@ -180,6 +182,37 @@ def quant_theory(params: SystemParams, sp: SaddlePoint) -> QuantTheory:
         ber=ber,
         rx_scale=1.0 / sig_coef,
     )
+
+
+def _quant_ber_array(
+    tau: np.ndarray,
+    e_abs: np.ndarray,
+    delta: float,
+    level: float,
+    noise_var: float,
+    zero: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`quant_theory`'s ``ber`` over arrays of solved saddle points.
+
+    ``tau`` and ``e_abs`` are the points' ``tau`` and ``moments.e_abs``
+    at ``target_power = 1``.  Returns the BERs and the mask of lanes where
+    :func:`quant_theory` returns; ``zero`` flags the lanes where it
+    divides by zero.
+    """
+    lvl2 = level * level
+    td = tau * delta
+    sig_coef = _quotient(level * _E_ABS_GAUSS, td, zero)
+    excess = tau * tau * delta - 1.0
+    dist_var = lvl2 * (
+        1.0
+        - _quotient(2.0 * _E_ABS_GAUSS * e_abs, td, zero)
+        + _quotient((2.0 / math.pi) * excess, td * td, zero)
+    )
+    denom = dist_var + noise_var
+    ok = ~(denom <= 0.0) & ~zero
+    ber = np.full_like(tau, math.nan)
+    ber[ok] = 0.5 * _each(math.erfc, sig_coef[ok] / np.sqrt(denom[ok]) / _SQRT2)
+    return ber, ok
 
 
 def bussgang_theory(params: SystemParams, sp: SaddlePoint) -> BussgangTheory:

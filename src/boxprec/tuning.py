@@ -3,9 +3,13 @@
 ``tune_target_power`` inverts the monotone map from the target
 constellation power to the asymptotic per-antenna transmit power.
 ``optimize_box`` and ``optimize_quant`` are deliberately exhaustive,
-deterministic grid searches (closed-form theory is cheap); ties resolve
-to the smallest parameter by visiting grids in ascending order with a
-strict improvement rule.
+deterministic grid searches; ties resolve to the first point in grid
+order with a strict improvement rule.  ``optimize_box`` tunes the power
+at each reg in turn.  ``optimize_quant`` runs its whole (reg, amp) grid
+as one array pass through the array twins of the saddle solver and the
+quantized theory, which repeat the scalar arithmetic step by step; the
+tests check every point bit for bit against ``solve_saddle`` and
+``quant_theory``.
 """
 
 from __future__ import annotations
@@ -19,13 +23,15 @@ import numpy as np
 from .errors import DomainError, SolverError
 from .moments import _clip_sq_xh_m2
 from .saddle import (
+    SaddlePoint,
     SystemParams,
     _falling_root,
     _require_unique,
+    _solve_saddle_array,
     _tau_beta,
     solve_saddle,
 )
-from .theory import box_theory, quant_theory
+from .theory import _quant_ber_array, box_theory, quant_theory
 
 __all__ = [
     "TuneResult",
@@ -82,6 +88,13 @@ def tune_target_power(params: SystemParams, power: float) -> TuneResult:
     exceeds the 1e-9 residual contract of :func:`solve_saddle` and the
     re-solve raises :class:`SolverError`.
     """
+    return _tune_power_saddle(params, power)[0]
+
+
+def _tune_power_saddle(
+    params: SystemParams, power: float
+) -> tuple[TuneResult, SaddlePoint]:
+    """:func:`tune_target_power` and the saddle point of its tuned params."""
     if not (math.isfinite(power) and power > 0.0):
         raise DomainError(f"power must be positive and finite, got {power!r}")
     if math.isfinite(params.amp) and power >= params.amp * params.amp:
@@ -107,13 +120,14 @@ def tune_target_power(params: SystemParams, power: float) -> TuneResult:
         # Gaussian tail, below rounding at small power.
         raise SolverError(f"power {power} needs a target power below resolution")
     tuned = replace(params, target_power=root)
-    got = delta * solve_saddle(tuned).tau ** 2 - root
+    sp = solve_saddle(tuned)
+    got = delta * sp.tau ** 2 - root
     if abs(got - power) > _POWER_TOL:
         raise SolverError(
             f"power residual {got - power:.3e} exceeds {_POWER_TOL} at rho={root}"
         )
     trace = tuple(sorted(dict(evals).items()))
-    return TuneResult(params=tuned, objective=got, grid_trace=trace)
+    return TuneResult(params=tuned, objective=got, grid_trace=trace), sp
 
 
 def optimize_box(
@@ -133,8 +147,8 @@ def optimize_box(
     power = params.noise_var * 10.0 ** (snr_tx_db / 10.0)
 
     def evaluate(reg: float) -> tuple[float, SystemParams]:
-        tuned = tune_target_power(replace(params, reg=reg), power).params
-        return box_theory(tuned, solve_saddle(tuned)).ber, tuned
+        res, sp = _tune_power_saddle(replace(params, reg=reg), power)
+        return box_theory(res.params, sp).ber, res.params
 
     return _grid_search(grid, evaluate, "reg grid")
 
@@ -149,22 +163,94 @@ def optimize_quant(
 
     The quantizer level is set from the SNR target and ``target_power``
     pinned to 1 (the quantized characterization's normalization).  The
-    trace holds ``((reg, amp), ber)`` in grid order; ties break to the
-    smallest (reg, amp).
+    trace holds ``((reg, amp), ber)`` in grid order, reg-major, with the
+    grid values as given and NaN where ``replace``, :func:`solve_saddle`
+    or :func:`quant_theory` raises :class:`DomainError` or
+    :class:`SolverError`; ties break to the smallest (reg, amp).
+
+    The whole grid runs as one array pass (see :func:`_quant_grid`) that
+    gives every point the scalar functions' float; the tests check it
+    bit for bit against them.
     """
     regs = _DEFAULT_REG_GRID if reg_grid is None else tuple(reg_grid)
     amps = _DEFAULT_AMP_GRID if amp_grid is None else tuple(amp_grid)
     if not regs or not amps:
         raise DomainError("empty tuning grid")
     level = tune_level_for_snr(params.noise_var, snr_tx_db)
-
-    def evaluate(point: tuple[float, float]) -> tuple[float, SystemParams]:
-        reg, amp = point
-        candidate = replace(params, reg=reg, amp=amp, level=level, target_power=1.0)
-        return quant_theory(candidate, solve_saddle(candidate)).ber, candidate
-
     points = [(reg, amp) for reg in regs for amp in amps]
-    return _grid_search(points, evaluate, "(reg, amp) grid")
+    bers = _quant_grid(params, level, points)
+    best = None
+    for i, ber in enumerate(bers):
+        if ber is not None and (best is None or ber < bers[best]):
+            best = i
+    if best is None:
+        raise SolverError("no feasible point on the (reg, amp) grid")
+    reg, amp = points[best]
+    return TuneResult(
+        params=replace(params, reg=reg, amp=amp, level=level, target_power=1.0),
+        objective=bers[best],
+        grid_trace=tuple(
+            (point, math.nan if ber is None else ber) for point, ber in zip(points, bers)
+        ),
+    )
+
+
+def _quant_grid(
+    params: SystemParams, level: float, points: list[tuple[float, float]]
+) -> list[float | None]:
+    """Quantized BER at every ``(reg, amp)``, None where the scalar path raises.
+
+    The scalar path is ``quant_theory(p, solve_saddle(p)).ber`` with ``p =
+    replace(params, reg=reg, amp=amp, level=level, target_power=1.0)``.
+    Points that ``SystemParams`` or :func:`_require_unique` reject are
+    None.  The rest go through the array twins of the saddle solver and
+    of :func:`quant_theory` together, which mark the points where those
+    raise.  A point where the scalar path divides by zero (raising
+    ``ZeroDivisionError`` on Python floats) goes to the scalar functions.
+    Grid values are floats or ``np.float64``, whose arithmetic is the
+    array's.
+    """
+    try:
+        shared = replace(params, level=level, target_power=1.0)
+    except DomainError:
+        return [None] * len(points)
+    delta = params.user_ratio
+    reg = np.array([r for r, _ in points], dtype=float)
+    amp = np.array([a for _, a in points], dtype=float)
+    # The per-point rules of SystemParams, then _require_unique's.
+    valid = (
+        np.isfinite(reg)
+        & (reg >= 0.0)
+        & (amp > 0.0)
+        & ~((reg == 0.0) & (delta < 1.0))
+        & ~((reg == 0.0) & (delta == 1.0) & np.isinf(amp))
+    )
+    lanes = np.flatnonzero(valid)
+    zero = np.zeros(lanes.size, bool)
+    with np.errstate(all="ignore"):
+        tau, e_abs, solved = _solve_saddle_array(
+            delta, 1.0, reg[lanes], amp[lanes], zero
+        )
+        theory_zero = np.zeros(np.count_nonzero(solved), bool)
+        ber, ok = _quant_ber_array(
+            tau[solved], e_abs[solved], delta, level, params.noise_var, theory_zero
+        )
+    zero[solved] = theory_zero
+    bers: list[float | None] = [None] * len(points)
+    for i, b in zip(lanes[solved][ok].tolist(), ber[ok].tolist()):
+        bers[i] = b
+    for i in lanes[zero].tolist():
+        bers[i] = _quant_point(shared, *points[i])
+    return bers
+
+
+def _quant_point(shared: SystemParams, reg: float, amp: float) -> float | None:
+    """The scalar path at one point of :func:`_quant_grid`."""
+    try:
+        p = replace(shared, reg=reg, amp=amp)
+        return quant_theory(p, solve_saddle(p)).ber
+    except (DomainError, SolverError):
+        return None
 
 
 def _grid_search(

@@ -4,7 +4,10 @@ Each oracle deliberately avoids the code path it is used to check:
 moments by adaptive quadrature instead of closed forms, the scalar saddle
 by damped fixed-point iteration instead of Newton's method, and the box
 QP by active-set enumeration, or a least-squares re-solve of a given
-active set, instead of the solver's gram-based linear solves.
+active set, instead of the solver's gram-based linear solves.  The
+quantized tuning search is checked against its per-point form, one
+``replace``, ``solve_saddle`` and ``quant_theory`` per grid point,
+instead of the array pass.
 """
 
 from __future__ import annotations
@@ -12,8 +15,20 @@ from __future__ import annotations
 import itertools
 import math
 
+from dataclasses import replace
+
 import numpy as np
 from scipy import integrate
+
+from boxprec import (
+    DomainError,
+    SolverError,
+    TuneResult,
+    quant_theory,
+    solve_saddle,
+    tune_level_for_snr,
+)
+from boxprec.tuning import _DEFAULT_AMP_GRID, _DEFAULT_REG_GRID
 
 
 def _pdf(h: float) -> float:
@@ -168,3 +183,34 @@ def box_qp_certificate(
     mult = np.concatenate([-grad[up], grad[lo]])
     worst = float(mult.min()) if mult.size else math.inf
     return float(np.abs(x_ref - x).max()), worst
+
+
+def optimize_quant_by_points(params, snr_tx_db, reg_grid=None, amp_grid=None):
+    """``optimize_quant`` one grid point at a time through the scalar path.
+
+    Each point builds its ``SystemParams`` with ``replace`` and solves the
+    saddle and the quantized theory alone; a point that raises
+    ``DomainError`` or ``SolverError`` enters the trace as NaN, and strict
+    improvement keeps the first of tied points.
+    """
+    regs = _DEFAULT_REG_GRID if reg_grid is None else tuple(reg_grid)
+    amps = _DEFAULT_AMP_GRID if amp_grid is None else tuple(amp_grid)
+    if not regs or not amps:
+        raise DomainError("empty tuning grid")
+    level = tune_level_for_snr(params.noise_var, snr_tx_db)
+    trace = []
+    best = None
+    for point in itertools.product(regs, amps):
+        reg, amp = point
+        try:
+            p = replace(params, reg=reg, amp=amp, level=level, target_power=1.0)
+            ber = quant_theory(p, solve_saddle(p)).ber
+        except (DomainError, SolverError):
+            trace.append((point, math.nan))
+            continue
+        trace.append((point, ber))
+        if best is None or ber < best[0]:
+            best = (ber, p)
+    if best is None:
+        raise SolverError("no feasible point on the (reg, amp) grid")
+    return TuneResult(params=best[1], objective=best[0], grid_trace=tuple(trace))

@@ -1,8 +1,10 @@
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from boxprec import (
     DomainError,
     SolverError,
     SystemParams,
+    TuneResult,
     box_theory,
     optimize_box,
     optimize_quant,
@@ -18,6 +21,11 @@ from boxprec import (
     tune_level_for_snr,
     tune_target_power,
 )
+from boxprec import tuning
+from boxprec.config import parse_config
+from boxprec.presets import preset_config
+
+from oracles import optimize_quant_by_points
 
 BASE = SystemParams(user_ratio=0.2, reg=1.0, amp=1.0, noise_var=0.09)
 
@@ -234,3 +242,144 @@ def test_optimize_box_fig2_grid_is_all_feasible():
     assert tuned.target_power > 1e4
     bt = box_theory(tuned, solve_saddle(tuned))
     assert bt.power == pytest.approx(power, rel=1e-8)
+
+
+def test_optimize_box_solves_each_tuned_saddle_once(monkeypatch):
+    # The power check's saddle point serves the BER too, so each feasible
+    # reg costs one re-solve, and the BERs are those of a fresh solve.
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return solve_saddle(p)
+
+    monkeypatch.setattr(tuning, "solve_saddle", counted)
+    res = optimize_box(BASE, 5.0, reg_grid=(1.0, 10.0))
+    assert len(calls) == 2
+    for (reg, ber), tuned in zip(res.grid_trace, calls):
+        assert tuned.reg == reg
+        assert ber == box_theory(tuned, solve_saddle(tuned)).ber
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def _assert_same(got, want):
+    # repr tells floats apart bit for bit (shortest round-trip digits),
+    # shows NaN where it sits and keeps the grid values' types.
+    assert repr(got) == repr(want)
+    if isinstance(want, TuneResult):
+        assert got.params == want.params
+        assert got.objective == want.objective
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4-left", "fig4-right"])
+def test_optimize_quant_matches_scalar_path_on_default_grids(preset):
+    base = parse_config(preset_config(preset)).params
+    for snr in (-10.0, 0.0, 5.0, 20.0):
+        got = optimize_quant(base, snr)
+        want = optimize_quant_by_points(base, snr)
+        _assert_same(got, want)
+        assert got == want
+        assert isinstance(got.grid_trace[0][0][0], np.float64)
+
+
+_REG = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=1e-300),
+    st.floats(min_value=1e-3, max_value=1e2),
+    st.floats(min_value=1e100, max_value=1e300),
+    st.sampled_from([-1.0, math.nan, math.inf]),
+)
+_AMP = st.one_of(
+    st.just(math.inf),
+    st.floats(min_value=1e-6, max_value=1e-3),  # amp alpha < 0.1: the series
+    st.floats(min_value=0.05, max_value=20.0),
+    st.floats(min_value=1e3, max_value=1e8),  # amp alpha >= 40: no clipping
+    st.sampled_from([0.0, -1.0, math.nan]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    user_ratio=st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=3.0)),
+    regs=st.lists(_REG, min_size=1, max_size=4),
+    amps=st.lists(_AMP, min_size=1, max_size=4),
+    snr=st.floats(min_value=-10.0, max_value=30.0),
+)
+def test_optimize_quant_matches_scalar_path_over_the_domain(user_ratio, regs, amps, snr):
+    # Same floats, same NaN pattern, and the same exception where the
+    # scalar path raises one (a zero divisor at the tiniest regs).
+    base = SystemParams(user_ratio=user_ratio, reg=1.0, amp=1.0, noise_var=0.09)
+    _assert_same(
+        _outcome(optimize_quant, base, snr, regs, amps),
+        _outcome(optimize_quant_by_points, base, snr, regs, amps),
+    )
+
+
+def test_optimize_quant_covers_every_branch_of_the_scalar_path():
+    # One grid through each closed-form branch at the solution (series,
+    # erf, unclipped and amp = inf), reg = 0 at user_ratio = 1, the
+    # degenerate saddle, a huge reg whose start overflows, and invalid
+    # entries; then points whose scalar path divides by zero, with Python
+    # floats (ZeroDivisionError) and with numpy scalars (inf, no raise).
+    base = SystemParams(user_ratio=1.0, reg=1.0, amp=1.0, noise_var=0.09)
+    regs = (0.0, 1e-3, 1.0, 1e200, -1.0, math.nan)
+    amps = (1e-4, 0.5, 1e4, math.inf, 0.0, math.nan)
+    got = optimize_quant(base, 5.0, regs, amps)
+    _assert_same(got, optimize_quant_by_points(base, 5.0, regs, amps))
+    ts = [
+        amp * solve_saddle(replace(got.params, reg=1.0, amp=amp)).alpha
+        for amp in (1e-4, 0.5, 1e4)
+    ]
+    assert ts[0] < 0.1 <= ts[1] < 40.0 <= ts[2]
+    bers = dict(got.grid_trace)
+    assert math.isnan(bers[(0.0, math.inf)])
+    assert math.isnan(bers[(1e200, 0.5)])
+    assert math.isfinite(bers[(0.0, 0.5)])
+
+    tiny = SystemParams(user_ratio=0.05, reg=1.0, amp=1.0, noise_var=0.09)
+    with pytest.raises(ZeroDivisionError):
+        optimize_quant_by_points(tiny, 5.0, (1.0, 5e-324), (30.0,))
+    with pytest.raises(ZeroDivisionError):
+        optimize_quant(tiny, 5.0, (1.0, 5e-324), (30.0,))
+    regs = (np.float64(1.0), np.float64(5e-324))
+    amps = (np.float64(30.0), np.float64(0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _assert_same(
+            _outcome(optimize_quant, tiny, 5.0, regs, amps),
+            _outcome(optimize_quant_by_points, tiny, 5.0, regs, amps),
+        )
+
+
+@pytest.mark.parametrize(
+    "user_ratio, regs, amps",
+    [
+        (0.2, (-1.0, math.nan, math.inf), (0.5,)),
+        (0.2, (0.0,), (1.0, 0.0, -2.0, math.nan)),
+        (1.0, (0.0,), (math.inf,)),
+    ],
+)
+def test_optimize_quant_all_infeasible_raises_like_scalar_path(user_ratio, regs, amps):
+    base = SystemParams(user_ratio=user_ratio, reg=1.0, amp=1.0, noise_var=0.09)
+    with pytest.raises(SolverError) as got:
+        optimize_quant(base, 5.0, regs, amps)
+    with pytest.raises(SolverError) as want:
+        optimize_quant_by_points(base, 5.0, regs, amps)
+    assert str(got.value) == str(want.value)
+
+
+def test_optimize_quant_raises_no_runtime_warning():
+    # Lanes that overflow or divide inf by inf give the IEEE values
+    # Python floats give, without numpy's warnings.
+    base = SystemParams(user_ratio=1.0, reg=1.0, amp=1.0, noise_var=0.09)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        optimize_quant(base, 5.0, (0.0, 1e-3, 1.0, 1e200), (math.inf, 1e-4, 0.5, 1e4))
+        optimize_quant(parse_config(preset_config("fig3")).params, 5.0)
