@@ -180,7 +180,9 @@ def _quotient(
 
     ``taken`` marks the lanes whose scalar path makes this division.
     Python floats raise ``ZeroDivisionError`` where numpy returns inf or
-    NaN, so callers hand the flagged lanes back to the scalar functions.
+    NaN, so callers hand the flagged lanes back to the scalar functions,
+    which decide what those points give (:func:`boxprec.saddle.solve_saddle`
+    turns the division into a ``SolverError``).
     """
     zero |= taken & (den == 0.0)
     return num / den

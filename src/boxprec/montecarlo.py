@@ -29,17 +29,25 @@ The pool size comes from the ``BOXPREC_WORKERS`` environment variable and
 defaults to the number of CPUs in the process's affinity mask (the CPU
 count where the platform has no affinity call), and a value that is not
 an integer is a ``ConfigError``.  One worker (or one trial)
-short-circuits to a serial loop in the calling process that keeps one
-draw ahead: while trial ``i`` solves its QP and measures it, a helper
-thread draws realization ``i + 1`` into the other of two channel buffers
-allocated once per call.
-At the fig3 size with one BLAS thread a draw takes about 3.3 ms and a
-ridge-only QP about 2 ms, so the overlap hides most of the draw when the
-helper has a core of its own.  A process whose affinity mask holds one
-CPU has no core to spare, and draws each realization on the calling
-thread instead.  The draw calls no BLAS, so the one-thread pin, held over
-the whole loop, still fixes the bytes.  The helper is joined before the
-call returns or raises.
+short-circuits to a serial loop in the calling process that keeps up to
+two draws ahead.  One helper thread per call draws realizations ``1 ...
+n-1`` in seed order into a ring of three channel buffers allocated once
+per call; before it draws realization ``k`` into buffer ``k % 3`` it
+waits for trial ``k - 3`` to finish.  Meanwhile the calling thread draws
+realization 0, so the first two draws run at once, and then solves and
+measures the trials in order.
+At the fig3 size with one BLAS thread a draw takes about 3.3-4 ms and a
+ridge-only QP plus its metrics about 2.5 ms.  With a draw time ``D``
+longer than a trial's time ``S`` the loop is bound by the helper's
+draws and takes about ``(n - 1) D + S`` for ``n`` trials, when the
+helper has a core of its own: the first two draws share the time of
+one, and the third buffer spares the helper a wait for the trial in
+progress (with two buffers that wait adds ``S``).  A trial longer than
+a draw bounds the loop instead, at about ``D + n S``.  A process whose
+affinity mask holds one CPU has no core to spare, and draws each
+realization on the calling thread instead.  The draw calls no BLAS, so
+the one-thread pin, held over the whole loop, still fixes the bytes.
+The helper is woken and joined before the call returns or raises.
 """
 
 from __future__ import annotations
@@ -275,14 +283,6 @@ def _run_trial(task) -> TrialMetrics:
         return _trial(generate_realization(params, seed), params, box, quant)
 
 
-def _draw_into(out: list, *args) -> None:
-    """Helper-thread target: append the draw, or what it raised, to ``out``."""
-    try:
-        out.append(_draw(*args))
-    except BaseException as exc:
-        out.append(exc)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask, else the CPU count."""
     try:
@@ -297,15 +297,17 @@ def _spare_cpu() -> bool:
 
 
 def _run_serial(params, seeds: range, box, quant) -> list[TrialMetrics]:
-    """Run the trials in this process, drawing each one a trial ahead.
+    """Run the trials in this process, drawing up to two trials ahead.
 
-    Trial ``i``'s solve and metrics run here while a helper thread draws
-    trial ``i + 1`` into the channel buffer trial ``i - 1`` used; a
-    trial's metrics keep no reference to its channel, so the buffer is
-    free by then.  At most one draw is in flight, and it is joined before
-    the next trial starts or any exception leaves this function.  A
-    process allowed on one CPU only has nothing to overlap, so it runs
-    the trials one after another on this thread.
+    One helper thread draws realizations ``1 ... n-1`` in seed order into
+    a ring of three channel buffers, realization ``k`` into buffer ``k %
+    3`` once trial ``k - 3`` is done with it; a trial's metrics keep no
+    reference to its channel, so the buffer is free by then.  Meanwhile
+    this thread draws realization 0, so the first two draws run at once,
+    then solves and measures the trials in order.  Before this returns or
+    raises, the helper is woken and joined; a draw's exception is
+    re-raised here.  A process allowed on one CPU only has nothing to
+    overlap, so it runs the trials one after another on this thread.
     """
     # The draw calls no BLAS, so one pin covers the whole loop.
     with _one_blas_thread():
@@ -315,26 +317,44 @@ def _run_serial(params, seeds: range, box, quant) -> list[TrialMetrics]:
                 for seed in seeds
             ]
         shape = (params.n_users, params.n_antennas)
-        buffers = (np.empty(shape), np.empty(shape))
-        results = []
-        real = _draw(params, seeds[0], buffers[0])
-        for i in range(1, len(seeds)):
-            drawn: list = []
-            ahead = threading.Thread(
-                target=_draw_into,
-                args=(drawn, params, seeds[i], buffers[i % 2]),
-                name="boxprec-draw-ahead",
-                daemon=True,
-            )
-            ahead.start()
-            try:
+        buffers = [np.empty(shape) for _ in range(3)]
+        drawn: list = [None] * len(seeds)
+        ready = [threading.Event() for _ in seeds]
+        free = threading.Semaphore(2)  # buffers 1 and 2 start free
+        stop = False
+
+        def draw_ahead() -> None:
+            for k in range(1, len(seeds)):
+                free.acquire()
+                if stop:
+                    return
+                try:
+                    drawn[k] = _draw(params, seeds[k], buffers[k % 3])
+                except BaseException as exc:
+                    drawn[k] = exc
+                    return
+                finally:
+                    ready[k].set()
+
+        helper = threading.Thread(
+            target=draw_ahead, name="boxprec-draw-ahead", daemon=True
+        )
+        helper.start()
+        try:
+            real = _draw(params, seeds[0], buffers[0])
+            results = []
+            for k in range(len(seeds)):
+                if k:
+                    ready[k].wait()
+                    real = drawn[k]
+                    if isinstance(real, BaseException):
+                        raise real
                 results.append(_trial(real, params, box, quant))
-            finally:
-                ahead.join()
-            (real,) = drawn
-            if isinstance(real, BaseException):
-                raise real
-        results.append(_trial(real, params, box, quant))
+                free.release()  # buffer k % 3 may now take draw k + 3
+        finally:
+            stop = True
+            free.release()  # wake the helper if it waits for a buffer
+            helper.join()
     return results
 
 
@@ -483,12 +503,13 @@ def run_experiment(
     this process may run on) sets the pool size.  With one worker or one
     trial the trials run in this process with numpy's BLAS pinned to one
     thread, as in the pool.
-    If the process may use more than one CPU, a helper thread draws
-    realization ``i + 1`` while trial ``i`` solves and is measured, into
-    the other of two channel buffers, which the call allocates once; the
-    helper is joined before this returns or raises, and an exception from
-    a draw is re-raised here as it was raised.  Either way the report is
-    the same bytes.
+    If the process may use more than one CPU, one helper thread draws
+    realizations ``1 ... trials-1`` up to two ahead of the trial being
+    solved, into a ring of three channel buffers that the call allocates
+    once, while this thread draws realization 0 at the same time.  The
+    helper is woken and joined before this returns or raises, and an
+    exception from a draw is re-raised here as it was raised.  Either way
+    the report is the same bytes.
     """
     trials = _integer("trials", trials)
     base_seed = _integer("base_seed", base_seed)

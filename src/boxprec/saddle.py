@@ -353,7 +353,9 @@ def solve_saddle(params: SystemParams) -> SaddlePoint:
         where the saddle point is not unique.
     SolverError
         If the iteration budget runs out or the final residuals exceed
-        1e-9; the message carries the residuals.
+        1e-9; the message carries the residuals.  Also where an
+        intermediate under- or overflows into a division by zero, as
+        ``beta`` underflowing to 0 at a subnormal ``reg``.
     """
     _require_unique(params)
     delta = params.user_ratio
@@ -371,11 +373,16 @@ def solve_saddle(params: SystemParams) -> SaddlePoint:
     # Without the box E[X^2] = 1/alpha^2 and u does not depend on alpha, so
     # the residual is free/alpha^2 - rho and this start is its exact root;
     # free = 0 only at user_ratio = 1 without a ridge.
-    tau_free = _tau_beta(1.0, 1.0, 1.0, params)[0]
-    free = delta * tau_free * tau_free - 1.0
-    _falling_root(power_residual, math.sqrt(free / rho) if free > 0.0 else 1.0)
-    tau, beta = points[-1]
-    return _assemble(tau, beta, params, len(points))
+    try:
+        tau_free = _tau_beta(1.0, 1.0, 1.0, params)[0]
+        free = delta * tau_free * tau_free - 1.0
+        _falling_root(power_residual, math.sqrt(free / rho) if free > 0.0 else 1.0)
+        tau, beta = points[-1]
+        return _assemble(tau, beta, params, len(points))
+    except ZeroDivisionError as exc:
+        raise SolverError(
+            f"saddle solve divided by zero at reg={params.reg!r}, amp={params.amp!r}"
+        ) from exc
 
 
 def _solve_saddle_array(

@@ -205,8 +205,10 @@ def _quant_grid(
     Points that ``SystemParams`` or :func:`_require_unique` reject are
     None.  The rest go through the array twins of the saddle solver and
     of :func:`quant_theory` together, which mark the points where those
-    raise.  A point where the scalar path divides by zero (raising
-    ``ZeroDivisionError`` on Python floats) goes to the scalar functions.
+    raise.  A point where the arrays divide by zero goes to the scalar
+    functions, which give what the scalar path gives there:
+    ``solve_saddle`` turns a ``ZeroDivisionError`` of its Python floats
+    into a ``SolverError``, so such a point is None.
     Grid values are floats or ``np.float64``, whose arithmetic is the
     array's.
     """

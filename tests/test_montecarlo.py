@@ -147,10 +147,16 @@ def spare_cpu(monkeypatch):
     monkeypatch.setattr(montecarlo, "_spare_cpu", lambda: True)
 
 
+def _draw_threads() -> list[threading.Thread]:
+    """Live helper threads of serial runs; none may outlive a call."""
+    return [t for t in threading.enumerate() if t.name == "boxprec-draw-ahead"]
+
+
 @pytest.mark.parametrize("spare", [True, False])
-@pytest.mark.parametrize("trials", [1, 2, 5])
+@pytest.mark.parametrize("trials", [1, 2, 3, 4, 5, 7])
 def test_serial_report_matches_a_plain_trial_loop(monkeypatch, trials, spare):
-    # Odd and even counts end the draw-ahead loop on either buffer.
+    # Counts up to 3 stop before the ring of buffers wraps, 4, 5 and 7
+    # wrap onto each buffer.
     monkeypatch.setattr(montecarlo, "_spare_cpu", lambda: spare)
     p = SystemParams(**SMALL)
     sp = solve_saddle(p)
@@ -161,13 +167,21 @@ def test_serial_report_matches_a_plain_trial_loop(monkeypatch, trials, spare):
         plain.append(empirical_metrics(real, solve_box_qp(real, p), p, box, quant))
     expected = montecarlo._report(plain, p, box, quant, 40)
     assert run_experiment(p, trials, 40, workers=1) == expected
+    assert _draw_threads() == []
 
 
-def test_serial_draws_run_one_ahead_in_two_buffers(monkeypatch, spare_cpu):
+def test_serial_draws_run_two_ahead_in_three_buffers(monkeypatch, spare_cpu):
     events = []
     draw = montecarlo._draw
+    measure = montecarlo.empirical_metrics
+    # The first two draws each wait here for the other, so a schedule that
+    # makes them one after the other fails (BrokenBarrierError) and does
+    # not hang.
+    first_two = threading.Barrier(2, timeout=10)
 
     def logged_draw(params, seed, channel):
+        if seed in (20, 21):
+            first_two.wait()
         events.append(("draw", seed, threading.current_thread(), channel))
         return draw(params, seed, channel)
 
@@ -175,21 +189,60 @@ def test_serial_draws_run_one_ahead_in_two_buffers(monkeypatch, spare_cpu):
         events.append(("solve", real.seed, None, real.channel))
         return solve_box_qp(real, params)
 
+    def logged_measure(real, *args):
+        out = measure(real, *args)
+        events.append(("measured", real.seed, None, None))
+        return out
+
     monkeypatch.setattr(montecarlo, "_draw", logged_draw)
     monkeypatch.setattr(montecarlo, "solve_box_qp", logged_solve)
-    p = SystemParams(**SMALL)
-    run_experiment(p, 4, 20, workers=1)
+    monkeypatch.setattr(montecarlo, "empirical_metrics", logged_measure)
+    caller = threading.current_thread()
+    seeds = list(range(20, 27))
+    run_experiment(SystemParams(**SMALL), len(seeds), 20, workers=1)
+    assert _draw_threads() == []
     draws = {seed: (thread, buf) for kind, seed, thread, buf in events if kind == "draw"}
     solves = {seed: buf for kind, seed, _, buf in events if kind == "solve"}
-    assert sorted(draws) == sorted(solves) == [20, 21, 22, 23]
-    # The first draw is made on the calling thread, the rest on helpers.
-    assert draws[20][0] is threading.main_thread()
-    assert all(draws[s][0] is not threading.main_thread() for s in (21, 22, 23))
-    # Each trial solves in the buffer its draw filled; consecutive trials
-    # alternate between two buffers.
-    assert all(solves[s] is draws[s][1] for s in solves)
-    assert solves[20] is solves[22] and solves[21] is solves[23]
-    assert solves[20] is not solves[21]
+    assert sorted(draws) == sorted(solves) == seeds
+    # Seed 20 is drawn on the calling thread, every later seed on one
+    # helper thread.
+    assert draws[20][0] is caller
+    helper = draws[21][0]
+    assert helper is not caller
+    assert all(draws[s][0] is helper for s in seeds[1:])
+    # Each trial solves in the buffer its draw filled, and the trials
+    # cycle through three buffers.
+    assert all(solves[s] is draws[s][1] for s in seeds)
+    assert all(solves[s] is solves[s + 3] for s in seeds[:-3])
+    assert all(
+        len({id(solves[s + i]) for i in range(3)}) == 3 for s in seeds[:-2]
+    )
+    # A draw into a buffer waits until the trial three back is measured.
+    order = [(kind, seed) for kind, seed, _, _ in events]
+    for s in seeds[3:]:
+        assert order.index(("measured", s - 3)) < order.index(("draw", s))
+
+
+def test_serial_buffers_hold_under_fast_thread_switching(spare_cpu):
+    # Switching threads every microsecond interleaves the helper's draws
+    # with the trials as finely as the interpreter allows; a draw into a
+    # buffer still in use would change a report.
+    p = SystemParams(user_ratio=0.25, reg=1.0, amp=1.0, noise_var=0.09, n_antennas=60)
+    sp = solve_saddle(p)
+    box, quant = box_theory(p, sp), quant_theory(p, sp)
+    plain = []
+    for seed in range(5, 17):
+        real = generate_realization(p, seed)
+        plain.append(empirical_metrics(real, solve_box_qp(real, p), p, box, quant))
+    expected = montecarlo._report(plain, p, box, quant, 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert run_experiment(p, 12, 5, workers=1) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert _draw_threads() == []
 
 
 def test_serial_run_on_one_cpu_draws_on_the_calling_thread(monkeypatch):
@@ -254,11 +307,51 @@ def test_serial_solver_error_reaches_the_caller(monkeypatch, spare_cpu):
     assert info.value is err
     assert seeds == [7, 8, 9]
     assert threading.active_count() == before
+    assert _draw_threads() == []
 
 
-@pytest.mark.parametrize("bad", [7, 9])
+def test_serial_solver_error_wakes_a_helper_waiting_for_a_buffer(
+    monkeypatch, spare_cpu
+):
+    # Fast draws and a slow first solve: the helper fills both free
+    # buffers and then waits for trial 0 to give its buffer back.
+    err = SolverError("trial 0 failed")
+    drawn = []
+    draw = montecarlo._draw
+
+    def logged_draw(params, seed, channel):
+        drawn.append(seed)
+        return draw(params, seed, channel)
+
+    def failing(real, params):
+        time.sleep(0.2)
+        raise err
+
+    def call():
+        with pytest.raises(SolverError) as info:
+            run_experiment(SystemParams(**SMALL), 6, 7, workers=1)
+        raised.append(info.value)
+
+    monkeypatch.setattr(montecarlo, "_draw", logged_draw)
+    monkeypatch.setattr(montecarlo, "solve_box_qp", failing)
+    before = threading.active_count()
+    # Called on a thread of its own, so a helper left waiting fails the
+    # test instead of hanging it.
+    raised = []
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive(), "the call did not return"
+    assert raised == [err] and raised[0] is err
+    assert sorted(drawn) == [7, 8, 9]
+    assert threading.active_count() == before
+    assert _draw_threads() == []
+
+
+# Trial 0 is drawn on the calling thread, trial 1 beside it on the helper,
+# trial 2 ahead of a running trial, and trial 4 is the last.
+@pytest.mark.parametrize("bad", [7, 8, 9, 11])
 def test_serial_draw_error_reaches_the_caller(monkeypatch, spare_cpu, bad):
-    # Seed 7 is drawn on the calling thread, seed 9 on a helper.
     err = RuntimeError(f"draw of seed {bad} failed")
     draw = montecarlo._draw
 
@@ -273,6 +366,7 @@ def test_serial_draw_error_reaches_the_caller(monkeypatch, spare_cpu, bad):
         run_experiment(SystemParams(**SMALL), 5, 7, workers=1)
     assert info.value is err
     assert threading.active_count() == before
+    assert _draw_threads() == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])

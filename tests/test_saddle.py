@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from boxprec import DomainError, SystemParams, solve_saddle
+from boxprec import DomainError, SolverError, SystemParams, solve_saddle
 from boxprec.moments import clip_moments
 from boxprec.presets import FIG3_REG
 from boxprec.saddle import phi_value
@@ -216,6 +216,16 @@ def test_boundary_regime_flag_and_rejections():
         solve_saddle(SystemParams(user_ratio=1.0, reg=0.0, amp=math.inf))
     with pytest.raises(DomainError):
         SystemParams(user_ratio=0.9, reg=0.0, amp=1.0)
+
+
+@pytest.mark.parametrize("amp", [30.0, 1e300, math.inf])
+def test_underflowing_beta_is_a_solver_error(amp):
+    # At a subnormal reg, beta underflows to 0 at the root and the alpha
+    # equation would divide by it.
+    p = SystemParams(user_ratio=0.05, reg=5e-324, amp=amp, level=0.5)
+    with pytest.raises(SolverError, match="divided by zero") as info:
+        solve_saddle(p)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 def test_rejects_nonsense_parameters():

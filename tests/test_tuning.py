@@ -313,8 +313,8 @@ _AMP = st.one_of(
     snr=st.floats(min_value=-10.0, max_value=30.0),
 )
 def test_optimize_quant_matches_scalar_path_over_the_domain(user_ratio, regs, amps, snr):
-    # Same floats, same NaN pattern, and the same exception where the
-    # scalar path raises one (a zero divisor at the tiniest regs).
+    # Same floats, same NaN pattern (a zero divisor at the tiniest regs
+    # included), and the same exception where the scalar path raises one.
     base = SystemParams(user_ratio=user_ratio, reg=1.0, amp=1.0, noise_var=0.09)
     _assert_same(
         _outcome(optimize_quant, base, snr, regs, amps),
@@ -327,7 +327,7 @@ def test_optimize_quant_covers_every_branch_of_the_scalar_path():
     # erf, unclipped and amp = inf), reg = 0 at user_ratio = 1, the
     # degenerate saddle, a huge reg whose start overflows, and invalid
     # entries; then points whose scalar path divides by zero, with Python
-    # floats (ZeroDivisionError) and with numpy scalars (inf, no raise).
+    # floats (SolverError, so NaN) and with numpy scalars (inf, no raise).
     base = SystemParams(user_ratio=1.0, reg=1.0, amp=1.0, noise_var=0.09)
     regs = (0.0, 1e-3, 1.0, 1e200, -1.0, math.nan)
     amps = (1e-4, 0.5, 1e4, math.inf, 0.0, math.nan)
@@ -344,10 +344,10 @@ def test_optimize_quant_covers_every_branch_of_the_scalar_path():
     assert math.isfinite(bers[(0.0, 0.5)])
 
     tiny = SystemParams(user_ratio=0.05, reg=1.0, amp=1.0, noise_var=0.09)
-    with pytest.raises(ZeroDivisionError):
-        optimize_quant_by_points(tiny, 5.0, (1.0, 5e-324), (30.0,))
-    with pytest.raises(ZeroDivisionError):
-        optimize_quant(tiny, 5.0, (1.0, 5e-324), (30.0,))
+    for search in (optimize_quant_by_points, optimize_quant):
+        bers = dict(search(tiny, 5.0, (1.0, 5e-324), (30.0,)).grid_trace)
+        assert math.isnan(bers[(5e-324, 30.0)])
+        assert math.isfinite(bers[(1.0, 30.0)])
     regs = (np.float64(1.0), np.float64(5e-324))
     amps = (np.float64(30.0), np.float64(0.5))
     with warnings.catch_warnings():
