@@ -248,14 +248,24 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def _json_cell(value):
-    if value is None or isinstance(value, (str, int)):
-        return value
-    value = float(value)
-    if math.isfinite(value):
-        return value
-    # Strict JSON has no Infinity/NaN literals.
-    return repr(value)
+def _strict(value):
+    """``value`` with each non-finite float as its repr, for strict JSON.
+
+    Strict JSON has no Infinity/NaN literals.  ``parse_config`` reads
+    ``"inf"`` back, and ``verify`` reads ``"inf"`` and ``"nan"``.
+    """
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    return value
+
+
+def _dump_json(value, stream, **kwargs) -> None:
+    json.dump(_strict(value), stream, indent=2, allow_nan=False, **kwargs)
+    stream.write("\n")
 
 
 def emit_csv(rows, columns, stream) -> None:
@@ -272,12 +282,11 @@ def emit_json(result: RunResult, stream) -> None:
         "meta": result.meta,
         "columns": list(result.columns),
         "rows": [
-            {c: _json_cell(row[c]) for c in result.columns if c in row}
+            {c: row[c] for c in result.columns if c in row}
             for row in result.rows
         ],
     }
-    json.dump(doc, stream, indent=2)
-    stream.write("\n")
+    _dump_json(doc, stream)
 
 
 def _write_result(result: RunResult, out_path: str | None, out_format: str) -> None:
@@ -295,8 +304,7 @@ def _write_result(result: RunResult, out_path: str | None, out_format: str) -> N
         emit_csv(result.rows, result.columns, fh)
     # Column semantics ride in a sidecar so the CSV header stays plain.
     with open(out_path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(result.meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _dump_json(result.meta, fh, sort_keys=True)
 
 
 def _merge_configs(base: dict, overlay: dict) -> dict:

@@ -29,25 +29,8 @@ The pool size comes from the ``BOXPREC_WORKERS`` environment variable and
 defaults to the number of CPUs in the process's affinity mask (the CPU
 count where the platform has no affinity call), and a value that is not
 an integer is a ``ConfigError``.  One worker (or one trial)
-short-circuits to a serial loop in the calling process that keeps up to
-two draws ahead.  One helper thread per call draws realizations ``1 ...
-n-1`` in seed order into a ring of three channel buffers allocated once
-per call; before it draws realization ``k`` into buffer ``k % 3`` it
-waits for trial ``k - 3`` to finish.  Meanwhile the calling thread draws
-realization 0, so the first two draws run at once, and then solves and
-measures the trials in order.
-At the fig3 size with one BLAS thread a draw takes about 3.3-4 ms and a
-ridge-only QP plus its metrics about 2.5 ms.  With a draw time ``D``
-longer than a trial's time ``S`` the loop is bound by the helper's
-draws and takes about ``(n - 1) D + S`` for ``n`` trials, when the
-helper has a core of its own: the first two draws share the time of
-one, and the third buffer spares the helper a wait for the trial in
-progress (with two buffers that wait adds ``S``).  A trial longer than
-a draw bounds the loop instead, at about ``D + n S``.  A process whose
-affinity mask holds one CPU has no core to spare, and draws each
-realization on the calling thread instead.  The draw calls no BLAS, so
-the one-thread pin, held over the whole loop, still fixes the bytes.
-The helper is woken and joined before the call returns or raises.
+short-circuits to a serial loop in the calling process, which draws
+realizations ahead on a helper thread as :func:`_run_serial` describes.
 """
 
 from __future__ import annotations
@@ -59,6 +42,7 @@ import functools
 import math
 import operator
 import os
+import queue
 import threading
 import warnings
 from dataclasses import dataclass, fields
@@ -300,13 +284,20 @@ def _run_serial(params, seeds: range, box, quant) -> list[TrialMetrics]:
     """Run the trials in this process, drawing up to two trials ahead.
 
     One helper thread draws realizations ``1 ... n-1`` in seed order into
-    a ring of three channel buffers, realization ``k`` into buffer ``k %
-    3`` once trial ``k - 3`` is done with it; a trial's metrics keep no
-    reference to its channel, so the buffer is free by then.  Meanwhile
-    this thread draws realization 0, so the first two draws run at once,
-    then solves and measures the trials in order.  Before this returns or
-    raises, the helper is woken and joined; a draw's exception is
-    re-raised here.  A process allowed on one CPU only has nothing to
+    a ring of three channel buffers allocated once per call, realization
+    ``k`` into buffer ``k % 3``, and hands each over through a queue with
+    room for one item.  Meanwhile this thread draws realization 0 into
+    buffer 0, so the first two draws run at once, then solves and
+    measures the trials in order.  A draw's exception goes through the
+    queue too and is re-raised here as it was raised.  Before this returns
+    or raises, the helper is unblocked and joined.
+
+    At the fig3 size with one BLAS thread a draw takes about 3.3-4 ms and
+    a ridge-only QP plus its metrics about 2.5 ms.  With a draw time ``D``
+    longer than a trial's time ``S`` the loop is bound by the helper's
+    draws and takes about ``(n - 1) D + S`` for ``n`` trials, when the
+    helper has a core of its own; a trial longer than a draw bounds it at
+    about ``D + n S``.  A process allowed on one CPU only has nothing to
     overlap, so it runs the trials one after another on this thread.
     """
     # The draw calls no BLAS, so one pin covers the whole loop.
@@ -318,23 +309,23 @@ def _run_serial(params, seeds: range, box, quant) -> list[TrialMetrics]:
             ]
         shape = (params.n_users, params.n_antennas)
         buffers = [np.empty(shape) for _ in range(3)]
-        drawn: list = [None] * len(seeds)
-        ready = [threading.Event() for _ in seeds]
-        free = threading.Semaphore(2)  # buffers 1 and 2 start free
+        # The one slot is the buffer accounting: the helper's put(k - 1)
+        # returns once this thread has taken k - 2, which it does after
+        # measuring trial k - 3, so buffer k % 3 is free when draw k
+        # starts (a trial's metrics keep no reference to its channel).
+        handover = queue.Queue(maxsize=1)
         stop = False
 
         def draw_ahead() -> None:
             for k in range(1, len(seeds)):
-                free.acquire()
                 if stop:
                     return
                 try:
-                    drawn[k] = _draw(params, seeds[k], buffers[k % 3])
+                    real = _draw(params, seeds[k], buffers[k % 3])
                 except BaseException as exc:
-                    drawn[k] = exc
+                    handover.put(exc)
                     return
-                finally:
-                    ready[k].set()
+                handover.put(real)
 
         helper = threading.Thread(
             target=draw_ahead, name="boxprec-draw-ahead", daemon=True
@@ -342,18 +333,16 @@ def _run_serial(params, seeds: range, box, quant) -> list[TrialMetrics]:
         helper.start()
         try:
             real = _draw(params, seeds[0], buffers[0])
-            results = []
-            for k in range(len(seeds)):
-                if k:
-                    ready[k].wait()
-                    real = drawn[k]
-                    if isinstance(real, BaseException):
-                        raise real
+            results = [_trial(real, params, box, quant)]
+            for _ in seeds[1:]:
+                real = handover.get()
+                if isinstance(real, BaseException):
+                    raise real
                 results.append(_trial(real, params, box, quant))
-                free.release()  # buffer k % 3 may now take draw k + 3
         finally:
             stop = True
-            free.release()  # wake the helper if it waits for a buffer
+            with contextlib.suppress(queue.Empty):
+                handover.get_nowait()  # a helper blocked in put moves on
             helper.join()
     return results
 
@@ -502,14 +491,9 @@ def run_experiment(
     ``workers`` (default: ``BOXPREC_WORKERS``, then the number of CPUs
     this process may run on) sets the pool size.  With one worker or one
     trial the trials run in this process with numpy's BLAS pinned to one
-    thread, as in the pool.
-    If the process may use more than one CPU, one helper thread draws
-    realizations ``1 ... trials-1`` up to two ahead of the trial being
-    solved, into a ring of three channel buffers that the call allocates
-    once, while this thread draws realization 0 at the same time.  The
-    helper is woken and joined before this returns or raises, and an
-    exception from a draw is re-raised here as it was raised.  Either way
-    the report is the same bytes.
+    thread, as in the pool, and realizations are drawn ahead on a helper
+    thread as :func:`_run_serial` describes.  Either way the report is
+    the same bytes.
     """
     trials = _integer("trials", trials)
     base_seed = _integer("base_seed", base_seed)

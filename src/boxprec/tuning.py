@@ -15,7 +15,6 @@ tests check every point bit for bit against ``solve_saddle`` and
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,12 +144,22 @@ def optimize_box(
     if not grid:
         raise DomainError("empty reg grid")
     power = params.noise_var * 10.0 ** (snr_tx_db / 10.0)
-
-    def evaluate(reg: float) -> tuple[float, SystemParams]:
-        res, sp = _tune_power_saddle(replace(params, reg=reg), power)
-        return box_theory(res.params, sp).ber, res.params
-
-    return _grid_search(grid, evaluate, "reg grid")
+    trace = []
+    best: tuple[float, SystemParams] | None = None
+    for reg in grid:
+        try:
+            res, sp = _tune_power_saddle(replace(params, reg=reg), power)
+            ber = box_theory(res.params, sp).ber
+        except (DomainError, SolverError):
+            trace.append((reg, math.nan))
+            continue
+        trace.append((reg, ber))
+        # Strict improvement keeps the first of tied points.
+        if best is None or ber < best[0]:
+            best = (ber, res.params)
+    if best is None:
+        raise SolverError("no feasible point on the reg grid")
+    return TuneResult(params=best[1], objective=best[0], grid_trace=tuple(trace))
 
 
 def optimize_quant(
@@ -254,29 +263,3 @@ def _quant_point(shared: SystemParams, reg: float, amp: float) -> float | None:
     except (DomainError, SolverError):
         return None
 
-
-def _grid_search(
-    points: Iterable,
-    evaluate: Callable[..., tuple[float, SystemParams]],
-    grid_name: str,
-) -> TuneResult:
-    """Minimize ``evaluate(point) -> (objective, params)`` over ``points``.
-
-    A point that raises :class:`DomainError` or :class:`SolverError`
-    enters the trace with a NaN objective; strict improvement keeps the
-    first of tied points.
-    """
-    trace = []
-    best: tuple[float, SystemParams] | None = None
-    for point in points:
-        try:
-            objective, tuned = evaluate(point)
-        except (DomainError, SolverError):
-            trace.append((point, math.nan))
-            continue
-        trace.append((point, objective))
-        if best is None or objective < best[0]:
-            best = (objective, tuned)
-    if best is None:
-        raise SolverError(f"no feasible point on the {grid_name}")
-    return TuneResult(params=best[1], objective=best[0], grid_trace=tuple(trace))

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,15 @@ def write_config(tmp_path, data, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(data, indent=2), encoding="utf-8")
     return str(p)
+
+
+def _no_constant(name):
+    raise ValueError(f"non-strict JSON literal {name}")
+
+
+def strict_loads(text):
+    """``json.loads`` that rejects the NaN and Infinity literals."""
+    return json.loads(text, parse_constant=_no_constant)
 
 
 def base_config(mode="theory", **extra):
@@ -89,7 +99,7 @@ def _mode_configs():
 def test_saddle_json_to_stdout(tmp_path, capsys):
     path = write_config(tmp_path, base_config("saddle"))
     assert main(["run", "--config", path, "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_loads(capsys.readouterr().out)
     assert doc["schema_version"] == 1
     for col in ("tau", "beta", "alpha", "phi"):
         assert col in doc["columns"]
@@ -128,8 +138,8 @@ def test_rerun_is_byte_identical(tmp_path):
     assert main(["run", "--config", path, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     # Sidecars agree except for the destination path they record.
-    ma = json.loads((tmp_path / "a.csv.meta.json").read_text())
-    mb = json.loads((tmp_path / "b.csv.meta.json").read_text())
+    ma = strict_loads((tmp_path / "a.csv.meta.json").read_text())
+    mb = strict_loads((tmp_path / "b.csv.meta.json").read_text())
     ma["config"].pop("output"), mb["config"].pop("output")
     assert ma == mb
 
@@ -138,7 +148,7 @@ def test_sidecar_meta_contents(tmp_path):
     path = write_config(tmp_path, SIM)
     out = tmp_path / "r.csv"
     assert main(["run", "--config", path, "--out", str(out)]) == 0
-    meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
+    meta = strict_loads((tmp_path / "r.csv.meta.json").read_text())
     assert meta["generator"].startswith("boxprec ")
     assert meta["config"]["mode"] == "simulate"
     assert meta["n_rows"] == 2
@@ -160,8 +170,8 @@ def test_seed_flag_moves_empirics_not_theory(tmp_path):
                  "--format", "json"]) == 0
     assert main(["run", "--config", path, "--out", str(b),
                  "--format", "json", "--seed", "99"]) == 0
-    ra = json.loads(a.read_text())["rows"]
-    rb = json.loads(b.read_text())["rows"]
+    ra = strict_loads(a.read_text())["rows"]
+    rb = strict_loads(b.read_text())["rows"]
     for x, y in zip(ra, rb):
         assert x["box_ber"] == y["box_ber"]
         assert x["tau"] == y["tau"]
@@ -174,7 +184,7 @@ def test_quant_columns_gated_on_unit_power(tmp_path, capsys):
     rho2["params"]["target_power"] = 2.0
     path = write_config(tmp_path, rho2)
     assert main(["run", "--config", path, "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_loads(capsys.readouterr().out)
     assert "box_ber" in doc["columns"]
     assert "quant_ber" not in doc["columns"]
     assert "buss_ber" not in doc["columns"]
@@ -185,9 +195,39 @@ def test_json_encodes_infinite_amp(tmp_path, capsys):
     free["params"]["amp"] = "inf"
     path = write_config(tmp_path, free)
     assert main(["run", "--config", path, "--format", "json"]) == 0
-    raw = capsys.readouterr().out
-    doc = json.loads(raw)  # would fail on a bare Infinity literal
+    doc = strict_loads(capsys.readouterr().out)
     assert doc["rows"][0]["amp"] == "inf"
+
+
+# A NaN grid-trace entry (reg 0 is infeasible below user_ratio 1) and an
+# infinite sweep value: every non-finite float is emitted as its repr.
+NON_FINITE = {
+    "tune-quant-nan-trace": base_config(
+        "tune-quant", target_snr_db=5.0, reg_grid=[0.0, 1.0], amp_grid=[0.5, 1.0]
+    ),
+    "sweep-inf-amp": base_config(
+        "sweep", sweep={"parameter": "amp", "values": [1.0, "inf"]}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE)
+def test_emitted_json_is_strict(tmp_path, capsys, name):
+    data = NON_FINITE[name]
+    path = write_config(tmp_path, data)
+    out = tmp_path / "t.csv"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    meta = strict_loads((tmp_path / "t.csv.meta.json").read_text())
+    assert main(["run", "--config", path, "--format", "json"]) == 0
+    doc = strict_loads(capsys.readouterr().out)
+    for m in (meta, doc["meta"]):
+        if name == "tune-quant-nan-trace":
+            assert [ber for _, ber in m["grid_trace"]][:2] == ["nan", "nan"]
+        else:
+            assert m["config"]["sweep"]["values"] == [1.0, "inf"]
+    # The sidecar's config block parses back to the config that ran.
+    ran = replace(parse_config(json.dumps(data)), out_path=str(out))
+    assert parse_config(json.dumps(meta["config"])) == ran
 
 
 def test_tune_quant_smoke(tmp_path, capsys):
@@ -199,7 +239,7 @@ def test_tune_quant_smoke(tmp_path, capsys):
     )
     path = write_config(tmp_path, cfg)
     assert main(["run", "--config", path, "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_loads(capsys.readouterr().out)
     row = doc["rows"][0]
     assert row["pipeline"] == "quantized"
     assert row["reg"] == 0.001
@@ -221,7 +261,7 @@ def test_tuned_sweep_emits_pipeline_rows(tmp_path, capsys):
     cfg["params"]["amp"] = 2.0
     path = write_config(tmp_path, cfg)
     assert main(["run", "--config", path, "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_loads(capsys.readouterr().out)
     assert [r["pipeline"] for r in doc["rows"]] == [
         "box", "quantized", "box", "quantized",
     ]
@@ -240,7 +280,7 @@ def test_preset_overlay_merges(tmp_path):
     out = tmp_path / "o.csv"
     assert main(["run", "--preset", "fig3", "--config", path,
                  "--out", str(out)]) == 0
-    meta = json.loads((tmp_path / "o.csv.meta.json").read_text())
+    meta = strict_loads((tmp_path / "o.csv.meta.json").read_text())
     cfg = meta["config"]
     assert meta["preset"] == "fig3"
     assert cfg["trials"] == 2
@@ -310,7 +350,7 @@ def test_verify_rejects_tables_with_nothing_to_check(tmp_path, capsys):
     good = write_config(tmp_path, base_config())
     out = tmp_path / "t.json"
     assert main(["run", "--config", good, "--out", str(out), "--format", "json"]) == 0
-    doc = json.loads(out.read_text())
+    doc = strict_loads(out.read_text())
     doc["rows"].append({"tau": "x"})
     doc["rows"].append(dict(doc["rows"][0], tau=[1.0]))
     doc["rows"].append({})
