@@ -12,7 +12,7 @@ is handled as an explicit branch, not as a large float.
 The ``*_array`` twins evaluate the same closed forms over arrays of
 points for the tuning grid.  They repeat each scalar step in the scalar
 code's order and call the scalar ``math`` routines per element, so every
-element is the float the scalar function returns.
+element is the float the scalar function returns wherever it returns one.
 """
 
 from __future__ import annotations
@@ -173,26 +173,11 @@ def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), float, count=x.size)
 
 
-def _quotient(
-    num, den: np.ndarray, zero: np.ndarray, taken: np.ndarray | bool = True
-) -> np.ndarray:
-    """``num / den`` elementwise; flags in ``zero`` the lanes that divide by 0.
-
-    ``taken`` marks the lanes whose scalar path makes this division.
-    Python floats raise ``ZeroDivisionError`` where numpy returns inf or
-    NaN, so callers hand the flagged lanes back to the scalar functions,
-    which decide what those points give (:func:`boxprec.saddle.solve_saddle`
-    turns the division into a ``SolverError``).
-    """
-    zero |= taken & (den == 0.0)
-    return num / den
-
-
 def _clip_sq_xh_m2_array(
-    alpha: np.ndarray, amp: np.ndarray, zero: np.ndarray
+    alpha: np.ndarray, amp: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_clip_sq_xh_m2` over arrays; ``alpha`` may hold ``inf``."""
-    inv = _quotient(1.0, alpha, zero)
+    inv = 1.0 / alpha
     t = amp * alpha
     e_sq, e_xh, m2 = inv * inv, inv.copy(), np.ones_like(inv)
     near = ~(t >= 40.0)

@@ -34,7 +34,7 @@ both residuals.  :func:`boxprec.tuning.tune_target_power` uses the same
 iteration, since the transmit power at the saddle is ``E[X^2](alpha)``.
 :func:`_solve_saddle_array` runs it for a whole tuning grid at once, one
 bracket per point, each step in the scalar code's order, so every point
-gets the floats :func:`solve_saddle` returns.
+where :func:`solve_saddle` returns gets its floats.
 Existence and uniqueness hold whenever ``reg > 0``, or ``reg = 0`` with
 ``user_ratio >= 1``; the constructor of :class:`SystemParams` enforces
 exactly that.
@@ -54,7 +54,6 @@ from .moments import (
     _clip_sq_xh_m2,
     _clip_sq_xh_m2_array,
     _e_abs_array,
-    _quotient,
     clip_moments,
 )
 
@@ -109,6 +108,12 @@ class SystemParams:
     n_antennas: int = 1000
 
     def __post_init__(self) -> None:
+        # A float subclass (np.float64 from a numpy grid) is stored as a
+        # float, so every later scalar computation runs in Python floats.
+        for name in ("user_ratio", "reg", "amp", "level", "noise_var", "target_power"):
+            value = getattr(self, name)
+            if type(value) is not float and isinstance(value, float):
+                object.__setattr__(self, name, float(value))
         if not (math.isfinite(self.user_ratio) and self.user_ratio > 0.0):
             raise DomainError(f"user_ratio must be positive, got {self.user_ratio!r}")
         if not (math.isfinite(self.reg) and self.reg >= 0.0):
@@ -280,48 +285,42 @@ def _tau_beta_array(
     m2: np.ndarray,
     reg: np.ndarray,
     delta: float,
-    zero: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_tau_beta` over arrays, each lane taking its own branch."""
     c = delta - alpha * e_xh - reg
     ridge = reg != 0.0
     root = np.sqrt(c * c + 4.0 * delta * reg)
     up = ridge & (c >= 0.0)
-    u = np.where(
-        up, _quotient(2.0 * reg, c + root, zero, up), (root - c) / (2.0 * delta)
-    )
+    u = np.where(up, 2.0 * reg / (c + root), (root - c) / (2.0 * delta))
     beta = np.where(
         up,
         2.0 * (c + reg + delta * u) / alpha,
-        _quotient(2.0 * reg * (1.0 + u), alpha * u, zero, ridge & ~up),
+        2.0 * reg * (1.0 + u) / (alpha * u),
     )
     tau = (1.0 + u) / alpha
-    dtau = (_quotient(u * (e_xh - m2 / alpha), root, zero, ridge) - tau) / alpha
+    dtau = (u * (e_xh - m2 / alpha) / root - tau) / alpha
     return (
         np.where(ridge, tau, 1.0 / alpha),
         np.where(ridge, beta, 2.0 * c / alpha),
-        np.where(ridge, dtau, _quotient(-1.0, alpha * alpha, zero, ~ridge)),
+        np.where(ridge, dtau, -1.0 / (alpha * alpha)),
     )
 
 
 def _falling_root_array(
     f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
     alpha: np.ndarray,
-    zero: np.ndarray,
 ) -> np.ndarray:
     """:func:`_falling_root` for many lanes at once, one bracket each.
 
     ``f(alpha, lanes)`` evaluates the lanes ``lanes`` (indices) at
-    ``alpha`` and flags in ``zero`` those that divided by zero, which stop
-    there.  Returns the mask of lanes where :func:`_falling_root` returns;
-    their last call of ``f`` was at the root.  Lanes neither flagged nor
-    returned are those where it raises :class:`SolverError`.
+    ``alpha``.  Returns the mask of lanes that meet the stopping rule
+    within the budget; their last call of ``f`` was where they stopped.
     """
     lo = np.zeros_like(alpha)
     hi = np.full_like(alpha, math.inf)
     alpha = alpha.copy()
     converged = np.zeros(alpha.shape, bool)
-    lanes = np.flatnonzero(~zero)
+    lanes = np.arange(alpha.size)
     for _ in range(_MAX_ITER):
         if not lanes.size:
             break
@@ -336,10 +335,9 @@ def _falling_root_array(
         outside = ~((lo_l < new) & (new < hi_l))
         new[outside] = np.where(np.isinf(hi_l), 2.0 * lo_l, 0.5 * (lo_l + hi_l))[outside]
         stop |= np.abs(new - a) <= _STEP_TOL * a
-        failed = zero[lanes]
-        converged[lanes[stop & ~failed]] = True
+        converged[lanes[stop]] = True
         alpha[lanes], lo[lanes], hi[lanes] = new, lo_l, hi_l
-        lanes = lanes[~(stop | failed)]
+        lanes = lanes[~stop]
     return converged
 
 
@@ -386,20 +384,20 @@ def solve_saddle(params: SystemParams) -> SaddlePoint:
 
 
 def _solve_saddle_array(
-    delta: float, rho: float, reg: np.ndarray, amp: np.ndarray, zero: np.ndarray
+    delta: float, rho: float, reg: np.ndarray, amp: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`solve_saddle` at ``user_ratio = delta``, ``target_power = rho``
     for arrays of ``reg`` and ``amp``, every lane a valid, unique point.
 
     Returns ``(tau, e_abs, solved)``: ``solved`` marks the lanes where
     :func:`solve_saddle` returns, and there ``tau`` and ``e_abs`` are its
-    point's ``tau`` and ``moments.e_abs``.  ``zero`` flags the lanes where
-    it divides by zero.  Meant to run under ``np.errstate(all="ignore")``:
-    numpy warns where Python floats give inf or NaN silently.
+    point's ``tau`` and ``moments.e_abs``.  Meant to run under
+    ``np.errstate(all="ignore")``: numpy warns where Python floats give inf
+    or NaN silently, or raise ``ZeroDivisionError``.
     """
     n = reg.size
     ones = np.ones(n)
-    tau_free = _tau_beta_array(ones, ones, ones, reg, delta, zero)[0]
+    tau_free = _tau_beta_array(ones, ones, ones, reg, delta)[0]
     free = delta * tau_free * tau_free - 1.0
     start = np.where(free > 0.0, np.sqrt(free / rho), 1.0)
     tau = np.empty(n)
@@ -408,30 +406,25 @@ def _solve_saddle_array(
     def power_residual(
         alpha: np.ndarray, lanes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        z = np.zeros(lanes.size, bool)
-        e_sq, e_xh, m2 = _clip_sq_xh_m2_array(alpha, amp[lanes], z)
-        t, b, dtau = _tau_beta_array(alpha, e_xh, m2, reg[lanes], delta, z)
+        e_sq, e_xh, m2 = _clip_sq_xh_m2_array(alpha, amp[lanes])
+        t, b, dtau = _tau_beta_array(alpha, e_xh, m2, reg[lanes], delta)
         tau[lanes], beta[lanes] = t, b
         res = delta * t * t - rho - e_sq
-        slope = 2.0 * delta * t * dtau + _quotient(2.0 * m2, alpha * alpha * alpha, z)
-        zero[lanes] |= z
+        slope = 2.0 * delta * t * dtau + 2.0 * m2 / (alpha * alpha * alpha)
         return res, slope, rho + delta * t * t
 
-    lanes = np.flatnonzero(_falling_root_array(power_residual, start, zero))
+    lanes = np.flatnonzero(_falling_root_array(power_residual, start))
     # _assemble: alpha recomputed from (tau, beta), then the residual check.
     t, b, r = tau[lanes], beta[lanes], reg[lanes]
-    z = np.zeros(lanes.size, bool)
-    ridge = r != 0.0
-    inv = _quotient(1.0, t, z)
-    alpha = np.where(ridge, inv + _quotient(2.0 * r, b, z, ridge), inv)
-    zero[lanes] |= z
-    keep = ~z & (alpha > 0.0)  # clip_moments refuses NaN and alpha <= 0
+    inv = 1.0 / t
+    alpha = np.where(r != 0.0, inv + 2.0 * r / b, inv)
+    keep = alpha > 0.0  # clip_moments refuses NaN and alpha <= 0
     lanes, t, b, alpha = lanes[keep], t[keep], b[keep], alpha[keep]
     a = amp[lanes]
-    e_sq, e_xh, _ = _clip_sq_xh_m2_array(alpha, a, np.zeros(lanes.size, bool))
+    e_sq, e_xh, _ = _clip_sq_xh_m2_array(alpha, a)
     res_power = t * t * delta - rho - e_sq
     res_beta = b - 2.0 * t * delta + 2.0 * e_xh
-    keep = ~((np.abs(res_power) > _RESIDUAL_TOL) | (np.abs(res_beta) > _RESIDUAL_TOL))
+    keep = (np.abs(res_power) <= _RESIDUAL_TOL) & (np.abs(res_beta) <= _RESIDUAL_TOL)
     solved = np.zeros(n, bool)
     solved[lanes[keep]] = True
     e_abs = np.full(n, math.nan)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .moments import _SQRT2, _each, _quotient, q_tail
+from .moments import _SQRT2, _each, q_tail
 from .saddle import _RESIDUAL_TOL, SaddlePoint, SystemParams, saddle_residuals
 
 __all__ = [
@@ -190,26 +190,24 @@ def _quant_ber_array(
     delta: float,
     level: float,
     noise_var: float,
-    zero: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`quant_theory`'s ``ber`` over arrays of solved saddle points.
 
     ``tau`` and ``e_abs`` are the points' ``tau`` and ``moments.e_abs``
     at ``target_power = 1``.  Returns the BERs and the mask of lanes where
-    :func:`quant_theory` returns; ``zero`` flags the lanes where it
-    divides by zero.
+    :func:`quant_theory` returns.
     """
     lvl2 = level * level
     td = tau * delta
-    sig_coef = _quotient(level * _E_ABS_GAUSS, td, zero)
+    sig_coef = level * _E_ABS_GAUSS / td
     excess = tau * tau * delta - 1.0
     dist_var = lvl2 * (
         1.0
-        - _quotient(2.0 * _E_ABS_GAUSS * e_abs, td, zero)
-        + _quotient((2.0 / math.pi) * excess, td * td, zero)
+        - 2.0 * _E_ABS_GAUSS * e_abs / td
+        + (2.0 / math.pi) * excess / (td * td)
     )
     denom = dist_var + noise_var
-    ok = ~(denom <= 0.0) & ~zero
+    ok = denom > 0.0
     ber = np.full_like(tau, math.nan)
     ber[ok] = 0.5 * _each(math.erfc, sig_coef[ok] / np.sqrt(denom[ok]) / _SQRT2)
     return ber, ok

@@ -30,7 +30,7 @@ from .saddle import (
     _tau_beta,
     solve_saddle,
 )
-from .theory import _quant_ber_array, box_theory, quant_theory
+from .theory import _quant_ber_array, box_theory
 
 __all__ = [
     "TuneResult",
@@ -213,16 +213,16 @@ def _quant_grid(
     replace(params, reg=reg, amp=amp, level=level, target_power=1.0)``.
     Points that ``SystemParams`` or :func:`_require_unique` reject are
     None.  The rest go through the array twins of the saddle solver and
-    of :func:`quant_theory` together, which mark the points where those
-    raise.  A point where the arrays divide by zero goes to the scalar
-    functions, which give what the scalar path gives there:
-    ``solve_saddle`` turns a ``ZeroDivisionError`` of its Python floats
-    into a ``SolverError``, so such a point is None.
+    of :func:`quant_theory` together.  Their lanes divide as IEEE floats
+    do, to inf or NaN where the scalar path's Python floats raise
+    ``ZeroDivisionError`` (which ``solve_saddle`` turns into a
+    ``SolverError``), and a lane counts as solved only where the final
+    residual and variance checks pass, which NaN fails.
     Grid values are floats or ``np.float64``, whose arithmetic is the
     array's.
     """
     try:
-        shared = replace(params, level=level, target_power=1.0)
+        replace(params, level=level, target_power=1.0)
     except DomainError:
         return [None] * len(points)
     delta = params.user_ratio
@@ -237,29 +237,12 @@ def _quant_grid(
         & ~((reg == 0.0) & (delta == 1.0) & np.isinf(amp))
     )
     lanes = np.flatnonzero(valid)
-    zero = np.zeros(lanes.size, bool)
     with np.errstate(all="ignore"):
-        tau, e_abs, solved = _solve_saddle_array(
-            delta, 1.0, reg[lanes], amp[lanes], zero
-        )
-        theory_zero = np.zeros(np.count_nonzero(solved), bool)
+        tau, e_abs, solved = _solve_saddle_array(delta, 1.0, reg[lanes], amp[lanes])
         ber, ok = _quant_ber_array(
-            tau[solved], e_abs[solved], delta, level, params.noise_var, theory_zero
+            tau[solved], e_abs[solved], delta, level, params.noise_var
         )
-    zero[solved] = theory_zero
     bers: list[float | None] = [None] * len(points)
     for i, b in zip(lanes[solved][ok].tolist(), ber[ok].tolist()):
         bers[i] = b
-    for i in lanes[zero].tolist():
-        bers[i] = _quant_point(shared, *points[i])
     return bers
-
-
-def _quant_point(shared: SystemParams, reg: float, amp: float) -> float | None:
-    """The scalar path at one point of :func:`_quant_grid`."""
-    try:
-        p = replace(shared, reg=reg, amp=amp)
-        return quant_theory(p, solve_saddle(p)).ber
-    except (DomainError, SolverError):
-        return None
-

@@ -228,6 +228,26 @@ def test_underflowing_beta_is_a_solver_error(amp):
     assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
+def test_float_subclass_fields_are_stored_as_float():
+    # An np.float64 field (a numpy tuning grid's value) is stored as a
+    # float, so the scalar path runs in Python floats: at a subnormal reg
+    # it divides by zero as floats do, where numpy scalars would give inf
+    # and fail the residual check instead.
+    fields = dict(
+        user_ratio=0.05, reg=5e-324, amp=30.0, level=0.5, noise_var=0.1, target_power=1.0
+    )
+    p = SystemParams(**{name: np.float64(value) for name, value in fields.items()})
+    assert all(type(getattr(p, name)) is float for name in fields)
+    assert p == SystemParams(**fields)
+    messages = []
+    for params in (p, SystemParams(**fields)):
+        with pytest.raises(SolverError) as info:
+            solve_saddle(params)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "divided by zero" in messages[0]
+
+
 def test_rejects_nonsense_parameters():
     with pytest.raises(DomainError):
         SystemParams(user_ratio=-0.2, reg=1.0, amp=1.0)

@@ -311,11 +311,17 @@ _AMP = st.one_of(
     regs=st.lists(_REG, min_size=1, max_size=4),
     amps=st.lists(_AMP, min_size=1, max_size=4),
     snr=st.floats(min_value=-10.0, max_value=30.0),
+    numpy_grid=st.booleans(),
 )
-def test_optimize_quant_matches_scalar_path_over_the_domain(user_ratio, regs, amps, snr):
+def test_optimize_quant_matches_scalar_path_over_the_domain(
+    user_ratio, regs, amps, snr, numpy_grid
+):
     # Same floats, same NaN pattern (a zero divisor at the tiniest regs
-    # included), and the same exception where the scalar path raises one.
+    # included), and the same exception where the scalar path raises one,
+    # with the grid values given as floats or as np.float64.
     base = SystemParams(user_ratio=user_ratio, reg=1.0, amp=1.0, noise_var=0.09)
+    if numpy_grid:
+        regs, amps = list(map(np.float64, regs)), list(map(np.float64, amps))
     _assert_same(
         _outcome(optimize_quant, base, snr, regs, amps),
         _outcome(optimize_quant_by_points, base, snr, regs, amps),
@@ -326,8 +332,11 @@ def test_optimize_quant_covers_every_branch_of_the_scalar_path():
     # One grid through each closed-form branch at the solution (series,
     # erf, unclipped and amp = inf), reg = 0 at user_ratio = 1, the
     # degenerate saddle, a huge reg whose start overflows, and invalid
-    # entries; then points whose scalar path divides by zero, with Python
-    # floats (SolverError, so NaN) and with numpy scalars (inf, no raise).
+    # entries; then points whose scalar path divides by zero as beta
+    # underflows (SolverError, so NaN), with amp alpha in the erf branch
+    # (amp 30) and in the series branch (amp 0.1 at user_ratio 1e-3), and
+    # with grid values given as np.float64, which SystemParams stores as
+    # floats.
     base = SystemParams(user_ratio=1.0, reg=1.0, amp=1.0, noise_var=0.09)
     regs = (0.0, 1e-3, 1.0, 1e200, -1.0, math.nan)
     amps = (1e-4, 0.5, 1e4, math.inf, 0.0, math.nan)
@@ -348,6 +357,10 @@ def test_optimize_quant_covers_every_branch_of_the_scalar_path():
         bers = dict(search(tiny, 5.0, (1.0, 5e-324), (30.0,)).grid_trace)
         assert math.isnan(bers[(5e-324, 30.0)])
         assert math.isfinite(bers[(1.0, 30.0)])
+    small = replace(tiny, user_ratio=1e-3)
+    got = optimize_quant(small, 5.0, (1.0, 1.5e-323), (0.1,))
+    _assert_same(got, optimize_quant_by_points(small, 5.0, (1.0, 1.5e-323), (0.1,)))
+    assert math.isnan(dict(got.grid_trace)[(1.5e-323, 0.1)])
     regs = (np.float64(1.0), np.float64(5e-324))
     amps = (np.float64(30.0), np.float64(0.5))
     with warnings.catch_warnings():
