@@ -100,8 +100,9 @@ def solve_box_qp(
 ) -> PrecoderSolution:
     """Solve the box-constrained ridge LS program for one realization.
 
-    Three phases share one gram ``G`` of the channel's smaller side
-    (``H H^T`` when ``m <= n``, else ``H^T H``):
+    Every exact solve, the start's included, is a free-block solve
+    (phase 3), and those with at least ``m`` free coordinates share one
+    gram ``G = H H^T``, formed by the first of them:
 
     1. *Start.*  The saddle point predicts the law of each entry,
        ``clamp(H / alpha, [-amp, amp])``, so a fraction
@@ -109,13 +110,12 @@ def solve_box_qp(
        finite box, ``m <= n`` and fewer than ``m`` coordinates predicted
        free, the start is the clipped matched filter
        ``H^T t / (1 + reg)``: the ridge point would mostly be clipped
-       away, and no free block that small reads ``G``, so ``G`` is formed
-       only if a free-block solve with at least ``m`` free coordinates
-       asks for it.  Otherwise, or when the saddle solve fails, the start
-       is the unconstrained ridge solution, through ``G``; when it lies
-       strictly inside the box (always when ``amp = inf``) it is the
-       exact answer.  The prediction only picks the start: every
-       returned point passes the same acceptance test.
+       away, and no free block that small reads ``G``.  Otherwise, or
+       when the saddle solve fails, the start is the ridge solution, the
+       free-block solve with nothing on the box; when it lies strictly
+       inside the box (always when ``amp = inf``) it is the exact
+       answer.  The prediction only picks the start: every returned
+       point passes the same acceptance test.
     2. *Accelerated projected gradient* from the clipped start,
        down to a KKT residual of ``1e-5``, with momentum restart whenever
        the accelerated candidate raises the cost.  The step ``1/L``
@@ -138,10 +138,11 @@ def solve_box_qp(
        ``G - H_A H_A^T`` when fewer coordinates are active than free
        and as ``H_F H_F^T`` otherwise; ``H_F^T w`` is read off
        ``H^T w``.  Fewer free coordinates than ``m`` use the free
-       block's own gram.  The clipped result is accepted when its
-       freshly computed KKT residual is below ``tol`` and its cost does
-       not exceed the gradient phase's.  Otherwise phase 2 resumes from
-       the better of the two points with a 10 times smaller hand-over
+       block's own gram; a singular system falls back to least
+       squares.  The clipped result is accepted when its freshly
+       computed KKT residual is below ``tol`` and its cost does not
+       exceed the gradient phase's.  Otherwise phase 2 resumes from the
+       better of the two points with a 10 times smaller hand-over
        residual.  When phase 2 itself has reached ``tol`` and the
        active-set point is rejected, one free-block solve on the
        iterate's own active set replaces it if that passes the same
@@ -186,18 +187,53 @@ def solve_box_qp(
             viol = np.where(x <= -amp, np.maximum(-g, 0.0), viol)
         return float(viol.max()) if viol.size else 0.0
 
+    gram = None
+
+    def free_solve(up: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """``up``/``lo`` fixed on the box, the free block solved exactly
+        through its smaller gram; with nothing fixed, the ridge solution.
+
+        A wide block takes the dual (Woodbury) route, nonsingular since
+        SystemParams forbids reg = 0 when m < n.
+        """
+        nonlocal gram
+        x = np.where(up, amp, np.where(lo, -amp, 0.0))
+        free = ~(up | lo)
+        n_free = int(np.count_nonzero(free))
+        fixed = n_free < n
+        rhs = target - channel @ x if fixed else target
+        try:
+            if n_free < m:
+                # A tall block: its gram h^T h serves this one solve only.
+                h_free = channel[:, free] if fixed else channel
+                x[free] = _shifted_solve(h_free.T @ h_free, reg, h_free.T @ rhs)
+                return x
+            # m <= n_free <= n, so G is H H^T, formed by the first solve
+            # that needs it: take the free block's gram from G by the
+            # cheaper route, and H_F^T w from H^T w.
+            if n - n_free < n_free:
+                if gram is None:
+                    gram = channel @ channel.T
+                h_act = channel[:, ~free]
+                system = gram - h_act @ h_act.T if fixed else gram.copy()
+            else:
+                h_free = channel[:, free]
+                system = h_free @ h_free.T
+            x[free] = (channel.T @ _shifted_solve(system, reg, rhs))[free]
+        except np.linalg.LinAlgError:
+            x[free], *_ = np.linalg.lstsq(channel[:, free], rhs, rcond=None)
+        return x
+
     iterations = 1
     if _few_free(params, m, n):
         x = channel.T @ target / (1.0 + reg)
-        gram = None
-        trace = float(np.vdot(channel, channel))
         interior = False
     else:
-        x, gram = _ridge(channel, target, reg)
-        trace = float(np.trace(gram))
+        x = free_solve(np.zeros(n, bool), np.zeros(n, bool))
         interior = not bounded or float(np.abs(x).max()) < amp
     # The Hessian is (2/n)(H^T H + reg I); trace(H^T H) = trace(G) = ||H||_F^2.
-    dual = (2.0 / n) * (trace / n + reg)
+    trace = np.trace(gram) if gram is not None else np.vdot(channel, channel)
+    dual = (2.0 / n) * (float(trace) / n + reg)
     if dual == 0.0:
         raise SolverError("zero curvature: channel and reg are both zero")
     x = project(x)
@@ -205,35 +241,6 @@ def solve_box_qp(
     resid = kkt(x, grad)
     if interior and resid < tol:
         return _solution(x, params, cost, resid, iterations)
-
-    def free_solve(up: np.ndarray, lo: np.ndarray) -> np.ndarray:
-        """``up``/``lo`` fixed on the box, the free block solved exactly."""
-        nonlocal gram
-        x = np.where(up, amp, np.where(lo, -amp, 0.0))
-        free = ~(up | lo)
-        rhs = target - channel @ x
-        n_free = int(np.count_nonzero(free))
-        if n_free < m:
-            # A tall block: its gram h^T h serves this one solve only.
-            h_free = channel[:, free]
-            x[free] = _ridge_with(h_free, h_free.T @ h_free, rhs, reg)
-            return x
-        # m <= n_free <= n, so gram is H H^T (formed here when the start
-        # skipped it): take the free block's gram from it by the cheaper
-        # route, and H_F^T w from H^T w.
-        if n - n_free < n_free:
-            if gram is None:
-                gram = channel @ channel.T
-            h_act = channel[:, ~free]
-            system = gram - h_act @ h_act.T
-        else:
-            h_free = channel[:, free]
-            system = h_free @ h_free.T
-        try:
-            x[free] = (channel.T @ _shifted_solve(system, reg, rhs))[free]
-        except np.linalg.LinAlgError:
-            x[free], *_ = np.linalg.lstsq(channel[:, free], rhs, rcond=None)
-        return x
 
     def checked(x: np.ndarray, cost: float) -> tuple[tuple, bool]:
         """``(x, res, cost, grad, resid)`` of the clipped ``x``, and whether
@@ -359,35 +366,6 @@ def _few_free(params: SystemParams, m: int, n: int) -> bool:
     except (DomainError, SolverError):
         return False
     return n * (1.0 - 2.0 * q_tail(params.amp * alpha)) < m
-
-
-def _ridge(
-    h: np.ndarray, rhs: np.ndarray, reg: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimizer of ``||h z - rhs||^2 + reg ||z||^2``, and the gram used.
-
-    Solves the smaller of the two equivalent systems: the normal
-    equations with ``h^T h``, or (Woodbury) the dual
-    ``z = h^T (h h^T + reg I)^-1 rhs``, which SystemParams keeps
-    nonsingular by forbidding reg = 0 when m < n.  The returned gram is
-    the unregularized one.
-    """
-    gram = h @ h.T if h.shape[0] <= h.shape[1] else h.T @ h
-    return _ridge_with(h, gram.copy(), rhs, reg), gram
-
-
-def _ridge_with(
-    h: np.ndarray, system: np.ndarray, rhs: np.ndarray, reg: float
-) -> np.ndarray:
-    """:func:`_ridge`'s minimizer, given the gram it would solve with as
-    ``system``, which is shifted in place."""
-    try:
-        if h.shape[0] <= h.shape[1]:
-            return h.T @ _shifted_solve(system, reg, rhs)
-        return _shifted_solve(system, reg, h.T @ rhs)
-    except np.linalg.LinAlgError:
-        z, *_ = np.linalg.lstsq(h, rhs, rcond=None)
-        return z
 
 
 def _shifted_solve(system: np.ndarray, reg: float, rhs: np.ndarray) -> np.ndarray:

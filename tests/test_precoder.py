@@ -251,21 +251,31 @@ def test_certified_where_power_iteration_undershoots():
     assert n_active > 0 and n_free > 0
 
 
-def _ridge_shapes(monkeypatch, p, seed):
-    """Solve ``(p, seed)`` and return the solution and the channel shapes
-    that ``_ridge`` was called with."""
-    shapes = []
-    ridge = precoder._ridge
+def _logged_solves(monkeypatch, real, p):
+    """Solve ``real`` at ``p``; return the solution and, per exact solve in
+    order, whether it ran with nothing on the box (its system is the full
+    gram, before the ``reg`` shift) and whether it fell back to least
+    squares."""
+    h = real.channel
+    full = h @ h.T if h.shape[0] <= h.shape[1] else h.T @ h
+    bare, fell_back = [], []
+    shifted = precoder._shifted_solve
+    lstsq = np.linalg.lstsq
 
-    def logged_ridge(h, rhs, reg):
-        shapes.append(h.shape)
-        return ridge(h, rhs, reg)
+    def logged_shifted(system, reg, rhs):
+        bare.append(np.array_equal(system, full))
+        fell_back.append(False)
+        return shifted(system, reg, rhs)
 
-    monkeypatch.setattr(precoder, "_ridge", logged_ridge)
-    real = generate_realization(p, seed)
+    def logged_lstsq(*args, **kwargs):
+        fell_back[-1] = True
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(precoder, "_shifted_solve", logged_shifted)
+    monkeypatch.setattr(np.linalg, "lstsq", logged_lstsq)
     sol = solve_box_qp(real, p)
     monkeypatch.undo()
-    return real, sol, shapes
+    return sol, bare, fell_back
 
 
 @pytest.mark.parametrize(
@@ -278,14 +288,15 @@ def _ridge_shapes(monkeypatch, p, seed):
 )
 def test_tight_box_starts_without_the_full_ridge_solve(monkeypatch, kw, seed):
     # The saddle point predicts fewer free coordinates than users, so the
-    # start is the clipped matched filter and no _ridge call sees the full
-    # channel.  The answer is certified, and it is the same bytes as with
+    # start is the clipped matched filter and no solve runs with nothing on
+    # the box.  The answer is certified, and it is the same bytes as with
     # the ridge start, which a failing saddle solve falls back to.
     p = SystemParams(noise_var=0.09, **kw)
     alpha = solve_saddle(p).alpha
     assert p.n_antennas * (1.0 - 2.0 * q_tail(p.amp * alpha)) < p.n_users
-    real, sol, shapes = _ridge_shapes(monkeypatch, p, seed)
-    assert (p.n_users, p.n_antennas) not in shapes
+    real = generate_realization(p, seed)
+    sol, bare, _ = _logged_solves(monkeypatch, real, p)
+    assert bare and not any(bare)
     deviation, worst = box_qp_certificate(
         real.channel, real.symbols, p.reg, p.amp, p.target_power, sol.x_hat
     )
@@ -296,8 +307,8 @@ def test_tight_box_starts_without_the_full_ridge_solve(monkeypatch, kw, seed):
         raise SolverError("forced")
 
     monkeypatch.setattr(precoder, "solve_saddle", no_saddle)
-    _, fallback, shapes = _ridge_shapes(monkeypatch, p, seed)
-    assert shapes[0] == (p.n_users, p.n_antennas)
+    fallback, bare, _ = _logged_solves(monkeypatch, real, p)
+    assert bare[0]
     assert np.array_equal(sol.x_hat, fallback.x_hat)
 
 
@@ -306,15 +317,15 @@ def test_tight_box_starts_without_the_full_ridge_solve(monkeypatch, kw, seed):
     [
         # Predicted free 752 >= m = 200.
         dict(user_ratio=0.2, reg=FIG3_REG, amp=0.774263682681127, n_antennas=1000),
-        # More users than antennas: the gram is H^T H.
+        # More users than antennas: the start solves with H^T H.
         dict(user_ratio=1.25, reg=0.0, amp=0.3, n_antennas=80),
     ],
     ids=["fig3-amp0.774", "tall"],
 )
 def test_ridge_start_where_many_coordinates_are_free(monkeypatch, kw):
     p = SystemParams(noise_var=0.09, **kw)
-    _, sol, shapes = _ridge_shapes(monkeypatch, p, 5)
-    assert shapes[0] == (p.n_users, p.n_antennas)
+    sol, bare, _ = _logged_solves(monkeypatch, generate_realization(p, 5), p)
+    assert bare[0]
     assert sol.kkt_residual < 1e-9
 
 
@@ -325,9 +336,35 @@ def test_failed_saddle_solve_falls_back_to_the_ridge_start(monkeypatch, exc):
 
     p = SystemParams(user_ratio=0.2, reg=0.001, amp=0.2, noise_var=0.09, n_antennas=200)
     monkeypatch.setattr(precoder, "solve_saddle", failing)
-    _, sol, shapes = _ridge_shapes(monkeypatch, p, 4)
-    assert shapes[0] == (p.n_users, p.n_antennas)
+    sol, bare, _ = _logged_solves(monkeypatch, generate_realization(p, 4), p)
+    assert bare[0]
     assert sol.kkt_residual < 1e-9
+
+
+@pytest.mark.parametrize(
+    "user_ratio, amp, in_start, in_block",
+    [
+        (1.5, math.inf, True, False),
+        (1.0, 0.5, False, True),
+        (1.5, 0.3, True, True),
+    ],
+    ids=["tall-start", "square-block", "tall-both"],
+)
+def test_singular_solve_falls_back_to_least_squares(
+    monkeypatch, user_ratio, amp, in_start, in_block
+):
+    # An all-zero channel column at reg = 0 leaves its coordinate out of
+    # the cost.  A tall free block that holds it has a gram with an
+    # exactly zero row and column, on which LU fails; the square m x m
+    # gram H H^T is singular only up to rounding and solves.
+    p = SystemParams(user_ratio=user_ratio, reg=0.0, amp=amp, noise_var=0.09, n_antennas=20)
+    real = generate_realization(p, 3)
+    real.channel[:, 7] = 0.0
+    sol, bare, fell_back = _logged_solves(monkeypatch, real, p)
+    assert any(b and f for b, f in zip(bare, fell_back)) == in_start
+    assert any(f and not b for b, f in zip(bare, fell_back)) == in_block
+    assert sol.kkt_residual < 1e-9
+    assert _cost_and_kkt(real, p, sol.x_hat)[1] < 1e-9
 
 
 @settings(max_examples=150, deadline=None)
