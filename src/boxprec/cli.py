@@ -3,11 +3,12 @@
 ``boxprec run`` parses a JSON config (or a named preset) and emits one
 CSV or JSON table.  Every mode is the same per-point pipeline, run at
 each sweep value or once at the configured point: tune, saddle, theory
-and Monte Carlo, each stage only where the mode asks for it.  Every
-theory number in the table is a pure function of the parameter columns
-in the same row, so ``boxprec verify`` can recompute and diff an
-emitted file with no other state; empirical columns are reproducible
-from the seed columns.
+and Monte Carlo, each stage only where the mode asks for it.  The Monte
+Carlo of all points runs last, as one pool schedule (see :func:`run`).
+Every theory number in the table is a pure function of the parameter
+columns in the same row, so ``boxprec verify`` can recompute and diff
+an emitted file with no other state; empirical columns are
+reproducible from the seed columns.
 
 Exit codes: 0 success, 1 verify mismatch, 2 config error, 3 solver
 error, 4 I/O error.
@@ -16,6 +17,7 @@ error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -34,7 +36,7 @@ from .config import (
     serialize_config,
 )
 from .errors import ConfigError, DomainError, SolverError
-from .montecarlo import run_experiment
+from .montecarlo import _run_jobs
 from .presets import preset_config, preset_names
 from .saddle import SystemParams, solve_saddle
 from .theory import box_theory, bussgang_theory, quant_theory
@@ -173,19 +175,41 @@ def _environment() -> dict:
     return env
 
 
+@contextlib.contextmanager
+def _at(where: str):
+    """Name the operating point in a DomainError or SolverError raised inside."""
+    try:
+        yield
+    except DomainError as exc:
+        raise DomainError(f"at {where}: {exc}") from exc
+    except SolverError as exc:
+        raise SolverError(f"at {where}: {exc}") from exc
+
+
 def run(cfg: ExperimentConfig) -> RunResult:
     """Execute a validated config and return the result table.
 
     Every mode is one pipeline run at each operating point (each sweep
     value, or the configured point): tune each pipeline, then the saddle
-    or theory row, then the Monte Carlo cells in simulate mode.
+    or theory row.  In simulate mode every row is built first, and then
+    the Monte Carlo of all rows runs as one schedule on the process pool
+    (see :mod:`boxprec.montecarlo`), in chunks no longer than a
+    per-point run's, and fills the ``emp_*`` cells in point order.
+    Errors come as a point-by-point run would raise them: a failing
+    trial raises at the first failing point, after the points before it
+    have run, as ``at sweep point j (...)``; a tuning or theory error at
+    point j is raised once the Monte Carlo of the rows before it has run
+    without error.
     """
     tuning = cfg.mode.startswith("tune-")
     tuned = {"tune-box": "box", "tune-quant": "quantized"}.get(cfg.mode, cfg.tuned)
     pipelines = ("box", "quantized") if tuned == "both" else (tuned,)
     points = cfg.sweep_values if cfg.sweep_parameter is not None else (None,)
     rows = []
+    # (job, row, where) per simulated row, in point order.
+    sims = []
     meta_extra: dict = {}
+    failure = None
     for j, value in enumerate(points):
         if value is None:
             where, base = "the configured point", cfg.params
@@ -193,36 +217,42 @@ def run(cfg: ExperimentConfig) -> RunResult:
             where = f"sweep point {j} ({cfg.sweep_parameter}={value!r})"
             base = replace(cfg.params, **{cfg.sweep_parameter: value})
         try:
-            results = [None]
-            if tuned is not None:
-                snr_db = cfg.target_snr_db
-                if snr_db is None:
-                    snr_db = 10.0 * math.log10(base.level**2 / base.noise_var)
-                results = [
-                    optimize_box(base, snr_db, cfg.reg_grid) if p == "box"
-                    else optimize_quant(base, snr_db, cfg.reg_grid, cfg.amp_grid)
-                    for p in pipelines
-                ]
-            for pipeline, res in zip(pipelines, results):
-                params = base if res is None else res.params
-                if cfg.mode == "saddle":
-                    row = _saddle_row(params)[1]
-                else:
-                    row = _theory_row(params)
-                if pipeline is not None:
-                    row["pipeline"] = pipeline
-                if tuning:
-                    row["objective_ber"] = res.objective
-                    meta_extra["grid_trace"] = res.grid_trace
-                if cfg.mode == "simulate":
-                    seed = cfg.base_seed + j * cfg.trials
-                    rep = run_experiment(params, cfg.trials, seed)
-                    row.update(_cells(rep, "emp_"))
-                rows.append(row)
-        except DomainError as exc:
-            raise DomainError(f"at {where}: {exc}") from exc
-        except SolverError as exc:
-            raise SolverError(f"at {where}: {exc}") from exc
+            with _at(where):
+                results = [None]
+                if tuned is not None:
+                    snr_db = cfg.target_snr_db
+                    if snr_db is None:
+                        snr_db = 10.0 * math.log10(base.level**2 / base.noise_var)
+                    results = [
+                        optimize_box(base, snr_db, cfg.reg_grid) if p == "box"
+                        else optimize_quant(base, snr_db, cfg.reg_grid, cfg.amp_grid)
+                        for p in pipelines
+                    ]
+                for pipeline, res in zip(pipelines, results):
+                    params = base if res is None else res.params
+                    if cfg.mode == "saddle":
+                        row = _saddle_row(params)[1]
+                    else:
+                        row = _theory_row(params)
+                    if pipeline is not None:
+                        row["pipeline"] = pipeline
+                    if tuning:
+                        row["objective_ber"] = res.objective
+                        meta_extra["grid_trace"] = res.grid_trace
+                    if cfg.mode == "simulate":
+                        seed = cfg.base_seed + j * cfg.trials
+                        sims.append(((params, cfg.trials, seed), row, where))
+                    rows.append(row)
+        except (DomainError, SolverError) as exc:
+            failure = exc
+            break
+    reports = _run_jobs([job for job, _, _ in sims])
+    for _, row, where in sims:
+        with _at(where):
+            rep = next(reports)
+        row.update(_cells(rep, "emp_"))
+    if failure is not None:
+        raise failure
     columns = tuple(c for c in ALL_COLS if any(c in r for r in rows))
     meta = {
         "schema_version": SCHEMA_VERSION,

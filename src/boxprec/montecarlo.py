@@ -9,12 +9,13 @@ base_seed) triple always produces the same report bit for bit in a fixed
 environment.
 
 Every trial runs with numpy's BLAS pinned to one thread, and the previous
-count is restored when the trial (or a serial call's whole loop) ends, so
-a report does not depend on the caller's BLAS thread setting and a serial
-run gives the same bytes as a pooled one.  The thread calls are looked up
-in numpy's own BLAS; a build that does not export them runs unpinned.  The
-pin changes process-wide BLAS state, so serial calls made concurrently
-from several threads of one process are not covered.
+count is restored when the pooled chunk of trials (or a serial call's
+whole loop) ends, so a report does not depend on the caller's BLAS thread
+setting and a serial run gives the same bytes as a pooled one.  The
+thread calls are looked up in numpy's own BLAS; a build that does not
+export them runs unpinned.  The pin changes process-wide BLAS state, so
+serial calls made concurrently from several threads of one process are
+not covered.
 
 Trials run on one process pool per interpreter, built on the first pooled
 call and reused by later calls with the same worker count.  Its workers
@@ -31,6 +32,20 @@ count where the platform has no affinity call), and a value that is not
 an integer is a ``ConfigError``.  One worker (or one trial)
 short-circuits to a serial loop in the calling process, which draws
 realizations ahead on a helper thread as :func:`_run_serial` describes.
+
+A run of several experiments, such as a simulate run's sweep in
+``boxprec.cli.run``, goes through :func:`_run_jobs`: all of its trials
+go to the pool as one schedule, so the workers do not wait at the end of
+each experiment for its slowest trial.  Each experiment is cut into the
+chunks of ``max(1, trials // (4 * workers))`` trials that a call of its
+own would use, and no chunk holds trials of two experiments.  The first
+error raised is that of the lowest-index failing trial of the first
+failing experiment, after the earlier experiments have run; the chunks
+still pending are then cancelled.  With one worker (or one trial per
+experiment) the experiments run one after another through the serial
+loop, and a failing one stops the
+run before the next draws a realization.  :func:`run_experiment` is the
+run of one experiment.
 """
 
 from __future__ import annotations
@@ -39,6 +54,7 @@ import atexit
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 import operator
 import os
@@ -258,13 +274,15 @@ def _trial(real: Realization, params, box, quant) -> TrialMetrics:
     return empirical_metrics(real, solve_box_qp(real, params), params, box, quant)
 
 
-def _run_trial(task) -> TrialMetrics:
-    """One pooled trial, drawn, solved and measured on one BLAS thread."""
-    params, seed, box, quant = task
+def _run_chunk(tasks: list) -> list[TrialMetrics]:
+    """One pooled chunk of trials, each drawn, solved and measured, in order."""
     # BLAS rounding depends on the thread count; one thread everywhere
     # makes serial and pooled bytes equal.
     with _one_blas_thread():
-        return _trial(generate_realization(params, seed), params, box, quant)
+        return [
+            _trial(generate_realization(params, seed), params, box, quant)
+            for params, seed, box, quant in tasks
+        ]
 
 
 def _usable_cpus() -> int:
@@ -347,9 +365,19 @@ def _run_serial(params, seeds: range, box, quant) -> list[TrialMetrics]:
     return results
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integer is a ``DomainError``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _worker_count(workers: int | None) -> int:
     if workers is not None:
-        return max(1, int(workers))
+        return max(1, _integer("workers", workers))
     env = os.environ.get("BOXPREC_WORKERS")
     if env:
         try:
@@ -396,42 +424,41 @@ def _release_pool() -> None:
     _pool = None
 
 
-def _run_pooled(tasks: list, nworkers: int) -> list[TrialMetrics]:
-    """Run the trials on the process-wide pool of ``nworkers`` workers.
+def _run_pooled(chunks: list, nworkers: int):
+    """Yield each chunk's metrics, in chunk order, from the process-wide pool.
 
-    The pool machinery is imported here, so serial runs never load it.
+    The pool has ``nworkers`` workers, and each chunk is one pool task.
+    Every chunk is submitted at the first step; each later step waits for
+    the next chunk in order.  A chunk's first failed trial raises its
+    exception when the iteration reaches that chunk, and the chunks still
+    pending are then cancelled; those already running finish and are
+    dropped.  The pool machinery is imported here, so serial runs never
+    load it.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     global _pool, _pool_workers
-    with _pool_lock:
-        if _pool is None or _pool_workers != nworkers:
-            if _pool is not None:
-                _pool.shutdown()
-            _pool = ProcessPoolExecutor(
-                nworkers,
-                mp_context=multiprocessing.get_context("spawn"),
-                initializer=_exit_with_parent,
-            )
-            _pool_workers = nworkers
-        try:
-            chunk = max(1, len(tasks) // (4 * nworkers))
-            return list(_pool.map(_run_trial, tasks, chunksize=chunk))
-        except BrokenProcessPool:
-            _pool = None
-            raise
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool or a non-integer is a ``DomainError``."""
     try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        with _pool_lock:
+            if _pool is None or _pool_workers != nworkers:
+                if _pool is not None:
+                    _pool.shutdown()
+                _pool = ProcessPoolExecutor(
+                    nworkers,
+                    mp_context=multiprocessing.get_context("spawn"),
+                    initializer=_exit_with_parent,
+                )
+                _pool_workers = nworkers
+            pool = _pool
+            results = pool.map(_run_chunk, chunks)
+        yield from results
+    except BrokenProcessPool:
+        with _pool_lock:
+            if _pool is pool:
+                _pool = None
+        raise
 
 
 def _report(
@@ -478,6 +505,46 @@ def _report(
     )
 
 
+def _run_jobs(jobs, workers: int | None = None):
+    """Yield one report per ``(params, trials, base_seed)`` job, in job order.
+
+    Each job's theory is worked out first, as :func:`run_experiment`
+    does.  With one worker (or one trial per job) the jobs run one after
+    another through :func:`_run_serial`, so a failing job stops the run
+    before any later job draws a realization.  Otherwise every job's
+    trials go to the pool as one schedule, so the workers move on to the
+    next job's trials while the last ones of a job still run.  Each job
+    is cut into chunks of ``max(1, trials // (4 * workers))`` trials, the
+    chunks one call of its own would use, and no chunk holds trials of
+    two jobs.  Each job's slice is folded in trial order.  The first
+    error raised is that of the lowest-index failing trial of the first
+    failing job, at the step that would yield that job's report, after
+    the earlier jobs' reports; the pending chunks are cancelled then.
+    """
+    prepared = []
+    for params, trials, base_seed in jobs:
+        sp = solve_saddle(params)
+        box = box_theory(params, sp)
+        quant = quant_theory(params, sp) if params.target_power == 1.0 else None
+        prepared.append((params, trials, base_seed, box, quant))
+    nworkers = _worker_count(workers)
+    if nworkers == 1 or max(job[1] for job in prepared) == 1:
+        for params, trials, base_seed, box, quant in prepared:
+            seeds = range(base_seed, base_seed + trials)
+            results = _run_serial(params, seeds, box, quant)
+            yield _report(results, params, box, quant, base_seed)
+        return
+    chunks = []
+    for params, trials, base_seed, box, quant in prepared:
+        tasks = [(params, base_seed + i, box, quant) for i in range(trials)]
+        size = max(1, trials // (4 * nworkers))
+        chunks += (tasks[i : i + size] for i in range(0, trials, size))
+    results = itertools.chain.from_iterable(_run_pooled(chunks, nworkers))
+    for params, trials, base_seed, box, quant in prepared:
+        mine = list(itertools.islice(results, trials))
+        yield _report(mine, params, box, quant, base_seed)
+
+
 def run_experiment(
     params: SystemParams,
     trials: int,
@@ -486,14 +553,15 @@ def run_experiment(
 ) -> EmpiricalReport:
     """Run ``trials`` seeded realizations and aggregate the metrics.
 
-    Trial ``i`` draws from seed ``base_seed + i``; ``trials`` and
-    ``base_seed`` must be integers (not bools), else ``DomainError``.
-    ``workers`` (default: ``BOXPREC_WORKERS``, then the number of CPUs
-    this process may run on) sets the pool size.  With one worker or one
-    trial the trials run in this process with numpy's BLAS pinned to one
-    thread, as in the pool, and realizations are drawn ahead on a helper
-    thread as :func:`_run_serial` describes.  Either way the report is
-    the same bytes.
+    Trial ``i`` draws from seed ``base_seed + i``; ``trials``,
+    ``base_seed`` and ``workers`` must be integers (not bools), else
+    ``DomainError``.  ``workers`` (default: ``BOXPREC_WORKERS``, then the
+    number of CPUs this process may run on) sets the pool size, and a
+    count below 1 means 1.  With one worker or one trial the trials run
+    in this process with numpy's BLAS pinned to one thread, as in the
+    pool, and realizations are drawn ahead on a helper thread as
+    :func:`_run_serial` describes.  Either way the report is the same
+    bytes.
     """
     trials = _integer("trials", trials)
     base_seed = _integer("base_seed", base_seed)
@@ -501,14 +569,5 @@ def run_experiment(
         raise DomainError(f"trials must be >= 1, got {trials}")
     if base_seed < 0:
         raise DomainError(f"base_seed must be >= 0, got {base_seed}")
-    sp = solve_saddle(params)
-    box = box_theory(params, sp)
-    quant = quant_theory(params, sp) if params.target_power == 1.0 else None
-    nworkers = _worker_count(workers)
-    if nworkers == 1 or trials == 1:
-        seeds = range(base_seed, base_seed + trials)
-        results = _run_serial(params, seeds, box, quant)
-    else:
-        tasks = [(params, base_seed + i, box, quant) for i in range(trials)]
-        results = _run_pooled(tasks, nworkers)
-    return _report(results, params, box, quant, base_seed)
+    (report,) = _run_jobs([(params, trials, base_seed)], workers)
+    return report

@@ -7,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boxprec import cli
+from boxprec import SolverError, cli, montecarlo
 from boxprec.cli import emit_csv, main, run, verify_file
 from boxprec.config import parse_config
+from boxprec.presets import preset_config
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -519,3 +520,118 @@ def test_pooled_csv_is_independent_of_blas_threads(tmp_path):
     assert csv_bytes(2, 1) == serial
     assert csv_bytes(2, 2) == serial
     assert csv_bytes(1, 2) == serial
+
+
+def _table(cfg) -> tuple[str, dict]:
+    """A run's CSV text and meta."""
+    result = run(cfg)
+    buf = io.StringIO()
+    emit_csv(result.rows, result.columns, buf)
+    return buf.getvalue(), result.meta
+
+
+# 5 trials do not split evenly over 2 workers; fig4-left is tuned for
+# both pipelines, so each of its points is two Monte Carlo jobs.  With
+# one trial per point the run stays serial, as each point's call did.
+@pytest.mark.parametrize(
+    "preset, trials, jobs",
+    [("fig3", 1, 10), ("fig3", 3, 10), ("fig3", 5, 10), ("fig4-left", 3, 14)],
+)
+def test_one_schedule_gives_the_per_point_bytes(monkeypatch, preset, trials, jobs):
+    data = preset_config(preset)
+    data["trials"] = trials
+    cfg = parse_config(data, preset=preset)
+    monkeypatch.setenv("BOXPREC_WORKERS", "1")
+    serial = _table(cfg)
+    calls = []
+    pooled = montecarlo._run_pooled
+
+    def logged(chunks, nworkers):
+        calls.append([task[1] for chunk in chunks for task in chunk])
+        return pooled(chunks, nworkers)
+
+    monkeypatch.setattr(montecarlo, "_run_pooled", logged)
+    monkeypatch.setenv("BOXPREC_WORKERS", "2")
+    assert _table(cfg) == serial
+    if trials == 1:
+        assert calls == []
+        return
+    # One pool schedule holds every trial of the run, in point order.
+    points = len(cfg.sweep_values)
+    assert calls == [[
+        cfg.base_seed + j * trials + i
+        for j in range(points)
+        for _ in range(jobs // points)
+        for i in range(trials)
+    ]]
+
+
+def _simulated_seeds(monkeypatch, bad_seed=None):
+    """Log the seeds each serial trial solves and draws; fail one seed."""
+    solved, drawn = [], []
+    trial, draw = montecarlo._trial, montecarlo._draw
+    generate = montecarlo.generate_realization
+
+    def logged_trial(real, *args):
+        solved.append(real.seed)
+        if real.seed == bad_seed:
+            raise SolverError("no convergence")
+        return trial(real, *args)
+
+    def logged_draw(params, seed, channel):
+        drawn.append(seed)
+        return draw(params, seed, channel)
+
+    def logged_generate(params, seed):
+        drawn.append(seed)
+        return generate(params, seed)
+
+    monkeypatch.setenv("BOXPREC_WORKERS", "1")
+    monkeypatch.setattr(montecarlo, "_trial", logged_trial)
+    monkeypatch.setattr(montecarlo, "_draw", logged_draw)
+    monkeypatch.setattr(montecarlo, "generate_realization", logged_generate)
+    return solved, drawn
+
+
+@pytest.mark.parametrize("spare", [True, False])
+def test_trial_error_names_its_point_after_the_earlier_points(
+    tmp_path, monkeypatch, capsys, spare
+):
+    # Point j simulates seeds 17 + 3j ... 17 + 3j + 2; the second trial of
+    # point 2 fails.
+    monkeypatch.setattr(montecarlo, "_spare_cpu", lambda: spare)
+    data = dict(SIM, sweep={"parameter": "amp", "values": [0.8, 1.6, 2.4, 3.2]})
+    solved, drawn = _simulated_seeds(monkeypatch, bad_seed=24)
+    assert main(["run", "--config", write_config(tmp_path, data)]) == 3
+    err = capsys.readouterr().err
+    assert err == "solver error: at sweep point 2 (amp=2.4): no convergence\n"
+    assert solved == list(range(17, 25))
+    # Point 2 may draw ahead; point 3 draws nothing.
+    assert set(drawn) >= set(range(17, 25)) and max(drawn) < 26
+
+
+@pytest.mark.parametrize("bad_seed, point", [(None, 2), (19, 1)])
+def test_tuning_error_waits_for_the_earlier_points(
+    tmp_path, monkeypatch, capsys, bad_seed, point
+):
+    # 5 dB needs power 0.285 > amp^2 at amp 0.5, so tuning fails at point
+    # 2; it is the error only if the trials of points 0 and 1 succeed.
+    data = base_config(
+        "simulate",
+        trials=2,
+        base_seed=17,
+        tuned="box",
+        target_snr_db=5.0,
+        reg_grid=[1.0],
+        sweep={"parameter": "amp", "values": [2.0, 1.5, 0.5]},
+    )
+    data["params"]["n_antennas"] = 60
+    solved, _ = _simulated_seeds(monkeypatch, bad_seed)
+    assert main(["run", "--config", write_config(tmp_path, data)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"solver error: at sweep point {point} (amp=")
+    if bad_seed is None:
+        assert solved == [17, 18, 19, 20]
+    else:
+        assert err.endswith(": no convergence\n")
+        assert solved == [17, 18, 19]

@@ -8,6 +8,7 @@ import threading
 import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
 
@@ -372,7 +373,8 @@ def test_serial_draw_error_reaches_the_caller(monkeypatch, spare_cpu, bad):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
     "bad", [dict(trials=2.5), dict(base_seed=1.5), dict(trials=True),
-            dict(base_seed=False), dict(trials="3"), dict(base_seed=None)],
+            dict(base_seed=False), dict(trials="3"), dict(base_seed=None),
+            dict(workers=2.5), dict(workers=True), dict(workers="2")],
 )
 def test_rejects_non_integer_trials_and_seed(monkeypatch, bad, workers):
     def never(*_):
@@ -380,11 +382,11 @@ def test_rejects_non_integer_trials_and_seed(monkeypatch, bad, workers):
 
     monkeypatch.setattr(montecarlo, "_run_serial", never)
     monkeypatch.setattr(montecarlo, "_run_pooled", never)
-    args = {"trials": 2, "base_seed": 0, **bad}
+    args = {"trials": 2, "base_seed": 0, "workers": workers, **bad}
     (name,) = bad
     before = threading.active_count()
     with pytest.raises(DomainError, match=f"{name} must be an integer"):
-        run_experiment(SystemParams(**SMALL), workers=workers, **args)
+        run_experiment(SystemParams(**SMALL), **args)
     assert threading.active_count() == before
 
 
@@ -434,6 +436,84 @@ def test_pooled_calls_reuse_one_executor():
     run_experiment(p, trials=2, base_seed=3, workers=2)
     pool = montecarlo._pool
     run_experiment(p, trials=3, base_seed=4, workers=2)
+    assert montecarlo._pool is pool
+
+
+def _in_process_pool(monkeypatch):
+    """Run pooled chunks in this process; returns the list of chunks run."""
+    ran = []
+
+    def in_process(chunks, nworkers):
+        for chunk in chunks:
+            ran.append(chunk)
+            yield montecarlo._run_chunk(chunk)
+
+    monkeypatch.setattr(montecarlo, "_run_pooled", in_process)
+    return ran
+
+
+def test_pooled_schedule_cuts_each_job_as_its_own_call(monkeypatch):
+    # One schedule for three jobs, on 2 workers: each job's chunks are
+    # those of a call of its own, max(1, trials // 8) trials, and no chunk
+    # holds trials of two jobs.
+    p = SystemParams(user_ratio=0.25, reg=1.0, amp=1.0, noise_var=0.09, n_antennas=60)
+    q = replace(p, amp=0.5, target_power=2.0)
+    jobs = [(p, 9, 100), (q, 20, 200), (p, 1, 300)]
+    expected = [run_experiment(*job, workers=1) for job in jobs]
+    ran = _in_process_pool(monkeypatch)
+    assert list(montecarlo._run_jobs(jobs, workers=2)) == expected
+    seeds = [[task[1] for task in chunk] for chunk in ran]
+    assert seeds == (
+        [[s] for s in range(100, 109)]
+        + [[s, s + 1] for s in range(200, 220, 2)]
+        + [[300]]
+    )
+
+
+# Jobs of 2, 3 and 1 trials: tasks 0-1 are job 0, 2-4 job 1, 5 job 2.
+@pytest.mark.parametrize("bad", range(6))
+def test_pooled_fold_maps_a_failing_trial_to_its_job(monkeypatch, bad):
+    p = SystemParams(user_ratio=0.25, reg=1.0, amp=1.0, noise_var=0.09, n_antennas=60)
+    jobs = [(p, 2, 100), (p, 3, 200), (p, 1, 300)]
+    seeds = [100, 101, 200, 201, 202, 300]
+    job_of = [0, 0, 1, 1, 1, 2]
+    expected = [run_experiment(*job, workers=1) for job in jobs]
+    err = SolverError(f"trial {bad} failed")
+    trial = montecarlo._trial
+
+    def failing(real, *args):
+        if real.seed == seeds[bad]:
+            raise err
+        return trial(real, *args)
+
+    monkeypatch.setattr(montecarlo, "_trial", failing)
+    ran = _in_process_pool(monkeypatch)
+    reports = montecarlo._run_jobs(jobs, workers=2)
+    for j in range(job_of[bad]):
+        assert next(reports) == expected[j]
+    with pytest.raises(SolverError) as info:
+        next(reports)
+    assert info.value is err
+    # The iteration stops at the failing trial's chunk.
+    assert [task[1] for chunk in ran for task in chunk] == seeds[: bad + 1]
+
+
+def test_pool_is_reused_after_a_failed_run():
+    p = SystemParams(user_ratio=0.25, reg=1.0, amp=1.0, noise_var=0.09, n_antennas=80)
+    serial = run_experiment(p, trials=4, base_seed=11, workers=1)
+    assert run_experiment(p, trials=4, base_seed=11, workers=2) == serial
+    pool = montecarlo._pool
+    sp = solve_saddle(p)
+    box, quant = box_theory(p, sp), quant_theory(p, sp)
+    # With no theory to measure against, the second chunk's trial fails
+    # in its worker after its solve.
+    chunks = [[(p, 3, box, quant)], [(p, 4, None, None)], [(p, 5, box, quant)]]
+    results = montecarlo._run_pooled(chunks, 2)
+    assert len(next(results)) == 1
+    with pytest.raises(AttributeError):
+        next(results)
+    assert montecarlo._pool is pool
+    assert run_experiment(p, trials=4, base_seed=11, workers=2) == serial
     assert montecarlo._pool is pool
 
 
