@@ -421,8 +421,11 @@ def verify_file(path: str, tol: float = 1e-12) -> list[str]:
     below).  Empirical and objective columns are seed-dependent and are
     not recomputed here.  Every emitted row carries saddle columns, so a
     table with no theory cell at all is not an emitted table and raises
-    ConfigError.
+    ConfigError.  So does a ``tol`` that is not a finite nonnegative
+    number: NaN would fail every cell and inf pass any.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"tol must be finite and nonnegative, got {tol!r}")
     table = [
         (row, [c for c in _VERIFIABLE if row.get(c) not in (None, "")])
         for row in _read_table(path)

@@ -13,6 +13,11 @@ The ``*_array`` twins evaluate the same closed forms over arrays of
 points for the tuning grid.  They repeat each scalar step in the scalar
 code's order and call the scalar ``math`` routines per element, so every
 element is the float the scalar function returns wherever it returns one.
+Where every element takes one branch they skip the other's numpy calls.
+The saddle solver's array twin runs them while many grid points iterate,
+and finishes the last few (``saddle._SCALAR_LANES``) on the scalar
+functions.  Each evaluation, scalar or array, takes one pdf and one tail,
+and the tail also serves ``E |X|``.
 """
 
 from __future__ import annotations
@@ -61,16 +66,15 @@ def q_tail(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
-def _m2(t: float) -> float:
-    """Truncated second moment ``E[H^2 ; |H| <= t]``.
+def _m2(t: float, pdf: float) -> float:
+    """Truncated second moment ``E[H^2 ; |H| <= t]`` below ``t = 40``,
+    given ``pdf = normal_pdf(t)``.
 
     The textbook form ``1 - 2 Q(t) - 2 t pdf(t)`` cancels catastrophically
     for small ``t``; switch to a Taylor series below t = 0.1.
     """
-    if t >= 40.0:
-        return 1.0
     if t >= 0.1:
-        return math.erf(t / _SQRT2) - 2.0 * t * normal_pdf(t)
+        return math.erf(t / _SQRT2) - 2.0 * t * pdf
     u = t * t
     acc = 0.0
     for c in reversed(_M2_SERIES):
@@ -137,31 +141,35 @@ def clip_moments(alpha: float, amp: float) -> ClipMoments:
         raise DomainError(f"amp must be positive or inf, got {amp!r}")
     if math.isinf(alpha):
         return ClipMoments(e_abs=0.0, e_sq=0.0, e_xh=0.0)
-    e_sq, e_xh, _ = _clip_sq_xh_m2(alpha, amp)
+    e_sq, e_xh, _, q = _clip_terms(alpha, amp)
     inv = 1.0 / alpha
     t = amp * alpha
     if t >= 40.0:
         return ClipMoments(e_abs=_SQRT_2_OVER_PI * inv, e_sq=e_sq, e_xh=e_xh)
-    e_abs = -_SQRT_2_OVER_PI * math.expm1(-0.5 * t * t) * inv + 2.0 * amp * q_tail(t)
+    e_abs = -_SQRT_2_OVER_PI * math.expm1(-0.5 * t * t) * inv + 2.0 * amp * q
     return ClipMoments(e_abs=e_abs, e_sq=e_sq, e_xh=e_xh)
 
 
-def _clip_sq_xh_m2(alpha: float, amp: float) -> tuple[float, float, float]:
-    """Unvalidated ``(E X^2, E H X, m2(amp alpha))`` for finite ``alpha > 0``.
+def _clip_terms(alpha: float, amp: float) -> tuple[float, float, float, float]:
+    """Unvalidated ``(E X^2, E H X, m2(t), Q(t))``, ``t = amp alpha``, for
+    finite ``alpha > 0``; ``Q(t)`` reads 0 from ``t = 40`` on.
 
     One evaluation gives the saddle iteration both residuals and, through
     ``dE[X^2]/dalpha = -2 m2/alpha^3`` and ``dE[H X]/dalpha = -m2/alpha^2``,
-    their derivatives; :func:`clip_moments` builds on the same numbers.
+    their derivatives; :func:`clip_moments` builds on the same numbers,
+    ``E |X|`` on the same tail.  Each evaluation takes one pdf and one tail.
     """
     inv = 1.0 / alpha
     t = amp * alpha
     if t >= 40.0:
         # Clip never binds at double precision (also covers amp = inf).
-        return inv * inv, inv, 1.0
-    m2 = _m2(t)
-    e_sq = m2 * inv * inv + 2.0 * amp * amp * q_tail(t)
-    e_xh = m2 * inv + 2.0 * amp * normal_pdf(t)
-    return e_sq, e_xh, m2
+        return inv * inv, inv, 1.0, 0.0
+    pdf = normal_pdf(t)
+    q = q_tail(t)
+    m2 = _m2(t, pdf)
+    e_sq = m2 * inv * inv + 2.0 * amp * amp * q
+    e_xh = m2 * inv + 2.0 * amp * pdf
+    return e_sq, e_xh, m2, q
 
 
 def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
@@ -173,28 +181,38 @@ def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), float, count=x.size)
 
 
-def _clip_sq_xh_m2_array(
+def _clip_terms_array(
     alpha: np.ndarray, amp: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_clip_sq_xh_m2` over arrays; ``alpha`` may hold ``inf``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_clip_terms` over arrays; ``alpha`` may hold ``inf``."""
     inv = 1.0 / alpha
     t = amp * alpha
-    e_sq, e_xh, m2 = inv * inv, inv.copy(), np.ones_like(inv)
     near = ~(t >= 40.0)
-    t, amp, inv = t[near], amp[near], inv[near]
+    if near.all():
+        return _clip_terms_near(t, amp, inv)
+    # The unclipped branch's values, overwritten where the clip can bind.
+    terms = inv * inv, inv.copy(), np.ones_like(inv), np.zeros_like(inv)
+    for out, value in zip(terms, _clip_terms_near(t[near], amp[near], inv[near])):
+        out[near] = value
+    return terms
+
+
+def _clip_terms_near(
+    t: np.ndarray, amp: np.ndarray, inv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_clip_terms_array` where ``t = amp alpha`` is below 40."""
     pdf = _each(math.exp, -0.5 * t * t) * _INV_SQRT_2PI
-    m2_near = _m2_array(t, pdf)
+    m2 = _m2_array(t, pdf)
     q = 0.5 * _each(math.erfc, t / _SQRT2)
-    e_sq[near] = m2_near * inv * inv + 2.0 * amp * amp * q
-    e_xh[near] = m2_near * inv + 2.0 * amp * pdf
-    m2[near] = m2_near
-    return e_sq, e_xh, m2
+    return m2 * inv * inv + 2.0 * amp * amp * q, m2 * inv + 2.0 * amp * pdf, m2, q
 
 
 def _m2_array(t: np.ndarray, pdf: np.ndarray) -> np.ndarray:
-    """:func:`_m2` below ``t = 40``, given ``normal_pdf(t)``."""
-    out = np.empty_like(t)
+    """:func:`_m2` over arrays."""
     mid = t >= 0.1
+    if mid.all():
+        return _each(math.erf, t / _SQRT2) - 2.0 * t * pdf
+    out = np.empty_like(t)
     tm = t[mid]
     out[mid] = _each(math.erf, tm / _SQRT2) - 2.0 * tm * pdf[mid]
     ts = t[~mid]
@@ -206,8 +224,9 @@ def _m2_array(t: np.ndarray, pdf: np.ndarray) -> np.ndarray:
     return out
 
 
-def _e_abs_array(alpha: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """``clip_moments(alpha, amp).e_abs`` over arrays of ``alpha > 0``.
+def _e_abs_array(alpha: np.ndarray, amp: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``clip_moments(alpha, amp).e_abs`` over arrays of ``alpha > 0``, given
+    the tail ``Q(amp alpha)`` that :func:`_clip_terms_array` returned there.
 
     At ``alpha = inf`` the closed form gives the explicit branch's 0.
     """
@@ -216,8 +235,7 @@ def _e_abs_array(alpha: np.ndarray, amp: np.ndarray) -> np.ndarray:
     e_abs = _SQRT_2_OVER_PI * inv
     near = ~(t >= 40.0)
     t, amp, inv = t[near], amp[near], inv[near]
-    q = 0.5 * _each(math.erfc, t / _SQRT2)
     e_abs[near] = (
-        -_SQRT_2_OVER_PI * _each(math.expm1, -0.5 * t * t) * inv + 2.0 * amp * q
+        -_SQRT_2_OVER_PI * _each(math.expm1, -0.5 * t * t) * inv + 2.0 * amp * q[near]
     )
     return e_abs

@@ -302,11 +302,11 @@ def _run_serial(params, seeds: range, box, quant) -> list[TrialMetrics]:
     """Run the trials in this process, drawing up to two trials ahead.
 
     One helper thread draws realizations ``1 ... n-1`` in seed order into
-    a ring of three channel buffers allocated once per call, realization
-    ``k`` into buffer ``k % 3``, and hands each over through a queue with
-    room for one item.  Meanwhile this thread draws realization 0 into
-    buffer 0, so the first two draws run at once, then solves and
-    measures the trials in order.  A draw's exception goes through the
+    a ring of three channel buffers, realization ``k`` into buffer ``k %
+    3``, and hands each over through a queue with room for one item.  The
+    buffers are the three planes of one block allocated once per call.
+    Meanwhile this thread draws realization 0 into buffer 0, so the first
+    two draws run at once, then solves and measures the trials in order.  A draw's exception goes through the
     queue too and is re-raised here as it was raised.  Before this returns
     or raises, the helper is unblocked and joined.
 
@@ -325,8 +325,9 @@ def _run_serial(params, seeds: range, box, quant) -> list[TrialMetrics]:
                 _trial(generate_realization(params, seed), params, box, quant)
                 for seed in seeds
             ]
-        shape = (params.n_users, params.n_antennas)
-        buffers = [np.empty(shape) for _ in range(3)]
+        # One block, not three: the next call reuses it warm, where three
+        # separately freed buffers go back to the OS and fault in again.
+        buffers = list(np.empty((3, params.n_users, params.n_antennas)))
         # The one slot is the buffer accounting: the helper's put(k - 1)
         # returns once this thread has taken k - 2, which it does after
         # measuring trial k - 3, so buffer k % 3 is free when draw k

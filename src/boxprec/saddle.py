@@ -34,7 +34,12 @@ both residuals.  :func:`boxprec.tuning.tune_target_power` uses the same
 iteration, since the transmit power at the saddle is ``E[X^2](alpha)``.
 :func:`_solve_saddle_array` runs it for a whole tuning grid at once, one
 bracket per point, each step in the scalar code's order, so every point
-where :func:`solve_saddle` returns gets its floats.
+where :func:`solve_saddle` returns gets its floats.  An array step costs
+the same tens of numpy calls however few points are left in it, so once
+at most :data:`_SCALAR_LANES` (16) are left, each of them finishes on the
+scalar iteration, from its own ``alpha`` and bracket and with what is
+left of its evaluation budget; a point where that raises is not solved,
+as :func:`solve_saddle` raises there.
 Existence and uniqueness hold whenever ``reg > 0``, or ``reg = 0`` with
 ``user_ratio >= 1``; the constructor of :class:`SystemParams` enforces
 exactly that.
@@ -51,8 +56,8 @@ import numpy as np
 from .errors import DomainError, SolverError
 from .moments import (
     ClipMoments,
-    _clip_sq_xh_m2,
-    _clip_sq_xh_m2_array,
+    _clip_terms,
+    _clip_terms_array,
     _e_abs_array,
     clip_moments,
 )
@@ -68,6 +73,11 @@ __all__ = [
 _MAX_ITER = 200
 _STEP_TOL = 1e-15  # Newton steps below this, relative, are rounding noise
 _RESIDUAL_TOL = 1e-9  # contract on both residuals of a returned point
+# The array iteration hands its lanes to the scalar one once this few are
+# left: an array step costs about 100-150 us of numpy call overhead
+# whatever the lane count, a scalar step about 2.5 us, so below ~40 lanes
+# the scalar path is faster; 16 leaves a margin for slower scalar steps.
+_SCALAR_LANES = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,7 +232,7 @@ def _require_unique(params: SystemParams) -> None:
 
 
 def _tau_beta(
-    alpha: float, e_xh: float, m2: float, params: SystemParams
+    alpha: float, e_xh: float, m2: float, delta: float, reg: float
 ) -> tuple[float, float, float]:
     """``(tau, beta, dtau/dalpha)`` solving the beta and alpha equations at ``alpha``.
 
@@ -232,8 +242,6 @@ def _tau_beta(
     cancellation.  ``e_xh`` and ``m2`` are ``E[H X]`` and ``m2(amp alpha)``
     at ``alpha``.
     """
-    delta = params.user_ratio
-    reg = params.reg
     c = delta - alpha * e_xh - reg
     if reg == 0.0:
         return 1.0 / alpha, 2.0 * c / alpha, -1.0 / (alpha * alpha)
@@ -250,19 +258,23 @@ def _tau_beta(
 
 
 def _falling_root(
-    f: Callable[[float], tuple[float, float, float]], alpha: float
+    f: Callable[[float], tuple[float, float, float]],
+    alpha: float,
+    lo: float = 0.0,
+    hi: float = math.inf,
+    budget: int = _MAX_ITER,
 ) -> None:
     """Root in ``alpha > 0`` of a function falling from positive to negative.
 
     ``f(alpha)`` returns ``(value, slope, scale)``.  Safeguarded Newton from
-    ``alpha`` inside the bracket ``(0, inf)``: a step that would leave the
-    bracket becomes a bisection step (a doubling while no negative value is
-    known).  Stops when ``|value| <= 1e-15 scale`` or a step is below 1e-15
-    relative; the last call of ``f`` is then at the root, so callers keep
-    what they need from it.
+    ``alpha`` inside the bracket ``(lo, hi)``, ``(0, inf)`` unless a caller
+    resumes an iteration: a step that would leave the bracket becomes a
+    bisection step (a doubling while no negative value is known).  Stops
+    when ``|value| <= 1e-15 scale`` or a step is below 1e-15 relative; the
+    last call of ``f`` is then at the root, so callers keep what they need
+    from it.  Raises :class:`SolverError` after ``budget`` calls of ``f``.
     """
-    lo, hi = 0.0, math.inf
-    for _ in range(_MAX_ITER):
+    for _ in range(budget):
         value, slope, scale = f(alpha)
         if abs(value) <= 1e-15 * scale:
             return
@@ -286,19 +298,27 @@ def _tau_beta_array(
     reg: np.ndarray,
     delta: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_tau_beta` over arrays, each lane taking its own branch."""
+    """:func:`_tau_beta` over arrays, each lane taking its own branch.
+
+    Every lane first takes the ridge branches; lanes without a ridge then
+    take theirs, if there are any.
+    """
     c = delta - alpha * e_xh - reg
-    ridge = reg != 0.0
     root = np.sqrt(c * c + 4.0 * delta * reg)
-    up = ridge & (c >= 0.0)
-    u = np.where(up, 2.0 * reg / (c + root), (root - c) / (2.0 * delta))
+    up = c >= 0.0
+    two_reg = 2.0 * reg
+    u = np.where(up, two_reg / (c + root), (root - c) / (2.0 * delta))
+    one_u = 1.0 + u
     beta = np.where(
         up,
         2.0 * (c + reg + delta * u) / alpha,
-        2.0 * reg * (1.0 + u) / (alpha * u),
+        two_reg * one_u / (alpha * u),
     )
-    tau = (1.0 + u) / alpha
+    tau = one_u / alpha
     dtau = (u * (e_xh - m2 / alpha) / root - tau) / alpha
+    ridge = reg != 0.0
+    if ridge.all():
+        return tau, beta, dtau
     return (
         np.where(ridge, tau, 1.0 / alpha),
         np.where(ridge, beta, 2.0 * c / alpha),
@@ -308,37 +328,70 @@ def _tau_beta_array(
 
 def _falling_root_array(
     f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    finish: Callable[[int, float, float, float, int], bool],
     alpha: np.ndarray,
 ) -> np.ndarray:
     """:func:`_falling_root` for many lanes at once, one bracket each.
 
     ``f(alpha, lanes)`` evaluates the lanes ``lanes`` (indices) at
-    ``alpha``.  Returns the mask of lanes that meet the stopping rule
-    within the budget; their last call of ``f`` was where they stopped.
+    ``alpha``.  Once at most :data:`_SCALAR_LANES` lanes are left, each of
+    them goes to ``finish(lane, alpha, lo, hi, budget)``, which continues
+    its iteration from that state on the scalar path with the evaluations
+    left of the budget and tells whether it met the stopping rule.
+    Returns the mask of lanes that meet the stopping rule within the
+    budget; their last evaluation was where they stopped.
     """
+    # The state of the lanes still iterating, in lane order.
+    lanes = np.arange(alpha.size)
     lo = np.zeros_like(alpha)
     hi = np.full_like(alpha, math.inf)
-    alpha = alpha.copy()
     converged = np.zeros(alpha.shape, bool)
-    lanes = np.arange(alpha.size)
-    for _ in range(_MAX_ITER):
-        if not lanes.size:
+    for done in range(_MAX_ITER):
+        if lanes.size <= _SCALAR_LANES:
+            state = zip(lanes.tolist(), alpha.tolist(), lo.tolist(), hi.tolist())
+            for lane, a, low, high in state:
+                converged[lane] = finish(lane, a, low, high, _MAX_ITER - done)
             break
-        a = alpha[lanes]
-        value, slope, scale = f(a, lanes)
+        value, slope, scale = f(alpha, lanes)
         stop = np.abs(value) <= 1e-15 * scale
         rising = value > 0.0
-        lo_l = np.where(rising, a, lo[lanes])
-        hi_l = np.where(rising, hi[lanes], a)
-        step = np.divide(value, slope, out=np.full_like(a, math.nan), where=slope < 0.0)
-        new = a - step
-        outside = ~((lo_l < new) & (new < hi_l))
-        new[outside] = np.where(np.isinf(hi_l), 2.0 * lo_l, 0.5 * (lo_l + hi_l))[outside]
-        stop |= np.abs(new - a) <= _STEP_TOL * a
-        converged[lanes[stop]] = True
-        alpha[lanes], lo[lanes], hi[lanes] = new, lo_l, hi_l
-        lanes = lanes[~stop]
+        lo = np.where(rising, alpha, lo)
+        hi = np.where(rising, hi, alpha)
+        step = np.divide(
+            value, slope, out=np.full_like(alpha, math.nan), where=slope < 0.0
+        )
+        new = alpha - step
+        outside = ~((lo < new) & (new < hi))
+        new[outside] = np.where(np.isinf(hi), 2.0 * lo, 0.5 * (lo + hi))[outside]
+        stop |= np.abs(new - alpha) <= _STEP_TOL * alpha
+        if stop.any():
+            converged[lanes[stop]] = True
+            go = ~stop
+            lanes, new, lo, hi = lanes[go], new[go], lo[go], hi[go]
+        alpha = new
     return converged
+
+
+def _power_residual(
+    delta: float, rho: float, reg: float, amp: float, points: list
+) -> Callable[[float], tuple[float, float, float]]:
+    """The saddle solver's function for :func:`_falling_root` at one point.
+
+    At ``alpha`` it gives the power residual ``delta tau^2 - rho - E[X^2]``,
+    its slope and scale, and appends that iterate's ``(tau, beta)`` to
+    ``points``.  All arguments are Python floats, so a zero divisor raises
+    ``ZeroDivisionError``.
+    """
+
+    def power_residual(alpha: float) -> tuple[float, float, float]:
+        e_sq, e_xh, m2, _ = _clip_terms(alpha, amp)
+        tau, beta, dtau = _tau_beta(alpha, e_xh, m2, delta, reg)
+        points.append((tau, beta))
+        res = delta * tau * tau - rho - e_sq
+        slope = 2.0 * delta * tau * dtau + 2.0 * m2 / (alpha * alpha * alpha)
+        return res, slope, rho + delta * tau * tau
+
+    return power_residual
 
 
 def solve_saddle(params: SystemParams) -> SaddlePoint:
@@ -359,20 +412,12 @@ def solve_saddle(params: SystemParams) -> SaddlePoint:
     delta = params.user_ratio
     rho = params.target_power
     points: list[tuple[float, float]] = []
-
-    def power_residual(alpha: float) -> tuple[float, float, float]:
-        e_sq, e_xh, m2 = _clip_sq_xh_m2(alpha, params.amp)
-        tau, beta, dtau = _tau_beta(alpha, e_xh, m2, params)
-        points.append((tau, beta))
-        res = delta * tau * tau - rho - e_sq
-        slope = 2.0 * delta * tau * dtau + 2.0 * m2 / (alpha * alpha * alpha)
-        return res, slope, rho + delta * tau * tau
-
+    power_residual = _power_residual(delta, rho, params.reg, params.amp, points)
     # Without the box E[X^2] = 1/alpha^2 and u does not depend on alpha, so
     # the residual is free/alpha^2 - rho and this start is its exact root;
     # free = 0 only at user_ratio = 1 without a ridge.
     try:
-        tau_free = _tau_beta(1.0, 1.0, 1.0, params)[0]
+        tau_free = _tau_beta(1.0, 1.0, 1.0, delta, params.reg)[0]
         free = delta * tau_free * tau_free - 1.0
         _falling_root(power_residual, math.sqrt(free / rho) if free > 0.0 else 1.0)
         tau, beta = points[-1]
@@ -406,14 +451,27 @@ def _solve_saddle_array(
     def power_residual(
         alpha: np.ndarray, lanes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        e_sq, e_xh, m2 = _clip_sq_xh_m2_array(alpha, amp[lanes])
+        e_sq, e_xh, m2, _ = _clip_terms_array(alpha, amp[lanes])
         t, b, dtau = _tau_beta_array(alpha, e_xh, m2, reg[lanes], delta)
         tau[lanes], beta[lanes] = t, b
         res = delta * t * t - rho - e_sq
         slope = 2.0 * delta * t * dtau + 2.0 * m2 / (alpha * alpha * alpha)
         return res, slope, rho + delta * t * t
 
-    lanes = np.flatnonzero(_falling_root_array(power_residual, start))
+    reg_list, amp_list = reg.tolist(), amp.tolist()
+
+    def finish(lane: int, alpha: float, lo: float, hi: float, budget: int) -> bool:
+        # solve_saddle raises SolverError for either: the lane is not solved.
+        points: list[tuple[float, float]] = []
+        f = _power_residual(delta, rho, reg_list[lane], amp_list[lane], points)
+        try:
+            _falling_root(f, alpha, lo, hi, budget)
+        except (ZeroDivisionError, SolverError):
+            return False
+        tau[lane], beta[lane] = points[-1]
+        return True
+
+    lanes = np.flatnonzero(_falling_root_array(power_residual, finish, start))
     # _assemble: alpha recomputed from (tau, beta), then the residual check.
     t, b, r = tau[lanes], beta[lanes], reg[lanes]
     inv = 1.0 / t
@@ -421,14 +479,14 @@ def _solve_saddle_array(
     keep = alpha > 0.0  # clip_moments refuses NaN and alpha <= 0
     lanes, t, b, alpha = lanes[keep], t[keep], b[keep], alpha[keep]
     a = amp[lanes]
-    e_sq, e_xh, _ = _clip_sq_xh_m2_array(alpha, a)
+    e_sq, e_xh, _, q = _clip_terms_array(alpha, a)
     res_power = t * t * delta - rho - e_sq
     res_beta = b - 2.0 * t * delta + 2.0 * e_xh
     keep = (np.abs(res_power) <= _RESIDUAL_TOL) & (np.abs(res_beta) <= _RESIDUAL_TOL)
     solved = np.zeros(n, bool)
     solved[lanes[keep]] = True
     e_abs = np.full(n, math.nan)
-    e_abs[lanes[keep]] = _e_abs_array(alpha[keep], a[keep])
+    e_abs[lanes[keep]] = _e_abs_array(alpha[keep], a[keep], q[keep])
     return tau, e_abs, solved
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .moments import _clip_sq_xh_m2
+from .moments import _clip_terms
 from .saddle import (
     SaddlePoint,
     SystemParams,
@@ -106,8 +106,8 @@ def _tune_power_saddle(
     evals: list[tuple[float, float]] = []
 
     def power_gap(alpha: float) -> tuple[float, float, float]:
-        e_sq, e_xh, m2 = _clip_sq_xh_m2(alpha, params.amp)
-        tau = _tau_beta(alpha, e_xh, m2, params)[0]
+        e_sq, e_xh, m2, _ = _clip_terms(alpha, params.amp)
+        tau = _tau_beta(alpha, e_xh, m2, delta, params.reg)[0]
         evals.append((delta * tau * tau - e_sq, e_sq))
         return e_sq - power, -2.0 * m2 / (alpha * alpha * alpha), power
 

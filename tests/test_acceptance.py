@@ -8,6 +8,7 @@ of the criterion.
 
 import csv
 import math
+import shutil
 import time
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from boxprec import (
     solve_saddle,
     tune_level_for_snr,
 )
+import golden
 from oracles import box_qp_by_enumeration, moments_by_quadrature
 
 TUNED_OPTIMUM = SystemParams(
@@ -290,3 +292,31 @@ def test_criterion_10_determinism(fig3_runs):
         f"byte-identical: {same}"
     )
     assert same
+
+
+def test_fig3_matches_golden_digests(fig3_runs):
+    first, _, _ = fig3_runs
+    key = golden.environment_key(first)
+    entry = golden.entry_for(key)
+    if entry is None:
+        pytest.skip(f"tests/golden.json has no fig3 entry for {key}")
+    assert golden.mismatches(entry, first) == []
+
+
+def test_golden_digests_catch_a_tampered_empirical_cell(fig3_runs, tmp_path):
+    # One emp_* cell moved by 1e-3: the CSV digest no longer matches.
+    first, _, _ = fig3_runs
+    entry = golden.entry_for(golden.environment_key(first)) or golden.digests(first)
+    copy = tmp_path / "fig3.csv"
+    shutil.copyfile(first, copy)
+    shutil.copyfile(f"{first}.meta.json", f"{copy}.meta.json")
+    assert golden.mismatches(entry, copy) == []
+    lines = copy.read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[1].split(",")
+    col = header.index("emp_ber_box")
+    cells[col] = repr(float(cells[col]) + 1e-3)
+    lines[1] = ",".join(cells)
+    copy.write_text("\n".join(lines) + "\n")
+    problems = golden.mismatches(entry, copy)
+    assert len(problems) == 1 and problems[0].startswith("csv_sha256")

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boxprec import SolverError, cli, montecarlo
+from boxprec import ConfigError, SolverError, cli, montecarlo
 from boxprec.cli import emit_csv, main, run, verify_file
 from boxprec.config import parse_config
 from boxprec.presets import preset_config
@@ -322,6 +322,27 @@ def test_verify_honors_tolerance(tmp_path):
     out.write_text(header + "\n" + ",".join(cells) + "\n")
     assert main(["verify", "--in", str(out)]) == 1
     assert main(["verify", "--in", str(out), "--tol", "1e-6"]) == 0
+
+
+@pytest.mark.parametrize(
+    "tol, code", [("nan", 2), ("-1", 2), ("inf", 2), ("0", 0), ("1e-12", 0)]
+)
+def test_verify_rejects_invalid_tolerance(tmp_path, capsys, tol, code):
+    # NaN would list every cell as a mismatch, a negative tolerance too,
+    # and inf would pass any file.
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "t.csv"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out), "--tol", tol]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert "config error: tol must be finite and nonnegative" in err
+        with pytest.raises(ConfigError):
+            verify_file(str(out), float(tol))
+    else:
+        assert err == ""
+        assert verify_file(str(out), float(tol)) == []
 
 
 def test_verify_reads_json_documents(tmp_path):

@@ -224,6 +224,30 @@ def test_serial_draws_run_two_ahead_in_three_buffers(monkeypatch, spare_cpu):
         assert order.index(("measured", s - 3)) < order.index(("draw", s))
 
 
+def test_serial_ring_is_one_block(monkeypatch, spare_cpu):
+    # The three channel buffers of one serial call are planes of one
+    # allocation, and the next call gets a block of its own.
+    channels = []
+    draw = montecarlo._draw
+
+    def logged_draw(params, seed, channel):
+        channels.append(channel)
+        return draw(params, seed, channel)
+
+    monkeypatch.setattr(montecarlo, "_draw", logged_draw)
+    p = SystemParams(**SMALL)
+    run_experiment(p, 5, 20, workers=1)
+    first = channels[:]
+    assert len({id(c) for c in first}) == 3
+    base = first[0].base
+    assert base is not None and base.shape == (3, p.n_users, p.n_antennas)
+    assert all(c.base is base for c in first)
+    channels.clear()
+    run_experiment(p, 3, 20, workers=1)
+    assert all(c.base is channels[0].base for c in channels)
+    assert channels[0].base is not base
+
+
 def test_serial_buffers_hold_under_fast_thread_switching(spare_cpu):
     # Switching threads every microsecond interleaves the helper's draws
     # with the trials as finely as the interpreter allows; a draw into a

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from boxprec import DomainError, SolverError, SystemParams, solve_saddle
+from boxprec import DomainError, SolverError, SystemParams, saddle, solve_saddle
 from boxprec.moments import clip_moments
 from boxprec.presets import FIG3_REG
 from boxprec.saddle import phi_value
@@ -269,3 +269,64 @@ def test_rejects_nonsense_parameters():
 def test_user_count_rounds_from_ratio():
     assert SystemParams(user_ratio=0.2, reg=1.0, amp=1.0, n_antennas=1000).n_users == 200
     assert SystemParams(user_ratio=0.15, reg=1.0, amp=1.0, n_antennas=800).n_users == 120
+
+
+# Lanes for the safeguarded Newton iteration: atan(root - alpha) falls
+# through 0 at root, and Newton from far off overshoots, so the brackets
+# bind; the last lane's constant has no root, so it doubles alpha until
+# the 200-evaluation budget runs out.
+_LANE_ROOTS = (1.0, 5.0, 50.0, 0.3, 7.0, 2.0)
+_LANE_STARTS = (0.01, 100.0, 1000.0, 3.0, 6.9, 1.0)
+
+
+def _lane_fn(lane: int, seen: list):
+    def f(alpha):
+        seen.append(alpha)
+        if lane == len(_LANE_ROOTS):
+            return 1.0, -0.0, 1.0
+        d = _LANE_ROOTS[lane] - alpha
+        return math.atan(d), -1.0 / (1.0 + d * d), 1.0
+
+    return f
+
+
+@pytest.mark.parametrize("scalar_lanes", [0, 1, 3, 7])
+def test_array_iteration_hands_each_lane_its_own_state(monkeypatch, scalar_lanes):
+    # Whenever a lane is handed to the scalar iteration, it visits the
+    # alphas the scalar iteration visits from its start, and stops where
+    # that stops, or fails after the same 200 evaluations.
+    n = len(_LANE_ROOTS) + 1
+    starts = _LANE_STARTS + (1.0,)
+    want = [[] for _ in range(n)]
+    converged = []
+    for lane in range(n):
+        try:
+            saddle._falling_root(_lane_fn(lane, want[lane]), starts[lane])
+            converged.append(True)
+        except SolverError:
+            converged.append(False)
+    assert converged == [True] * (n - 1) + [False]
+    assert len(want[-1]) == saddle._MAX_ITER
+
+    seen = [[] for _ in range(n)]
+    fns = [_lane_fn(lane, seen[lane]) for lane in range(n)]
+
+    def f(alpha, lanes):
+        out = [fns[i](a) for i, a in zip(lanes.tolist(), alpha.tolist())]
+        return tuple(np.array(column) for column in zip(*out))
+
+    handed = []
+
+    def finish(lane, alpha, lo, hi, budget):
+        handed.append(lane)
+        try:
+            saddle._falling_root(fns[lane], alpha, lo, hi, budget)
+        except SolverError:
+            return False
+        return True
+
+    monkeypatch.setattr(saddle, "_SCALAR_LANES", scalar_lanes)
+    got = saddle._falling_root_array(f, finish, np.array(starts))
+    assert got.tolist() == converged
+    assert seen == want
+    assert 0 < len(handed) <= scalar_lanes if scalar_lanes else handed == []

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from boxprec import (
     tune_level_for_snr,
     tune_target_power,
 )
-from boxprec import tuning
+from boxprec import saddle, tuning
 from boxprec.config import parse_config
 from boxprec.presets import preset_config
 
@@ -312,20 +313,84 @@ _AMP = st.one_of(
     amps=st.lists(_AMP, min_size=1, max_size=4),
     snr=st.floats(min_value=-10.0, max_value=30.0),
     numpy_grid=st.booleans(),
+    scalar_lanes=st.sampled_from([0, 3, saddle._SCALAR_LANES]),
 )
 def test_optimize_quant_matches_scalar_path_over_the_domain(
-    user_ratio, regs, amps, snr, numpy_grid
+    user_ratio, regs, amps, snr, numpy_grid, scalar_lanes
 ):
     # Same floats, same NaN pattern (a zero divisor at the tiniest regs
     # included), and the same exception where the scalar path raises one,
-    # with the grid values given as floats or as np.float64.
+    # with the grid values given as floats or as np.float64.  These grids
+    # fit in the hand-off, so a smaller one makes the lanes go through
+    # the array iteration first (none at all with 0).
     base = SystemParams(user_ratio=user_ratio, reg=1.0, amp=1.0, noise_var=0.09)
     if numpy_grid:
         regs, amps = list(map(np.float64, regs)), list(map(np.float64, amps))
-    _assert_same(
-        _outcome(optimize_quant, base, snr, regs, amps),
-        _outcome(optimize_quant_by_points, base, snr, regs, amps),
-    )
+    with mock.patch.object(saddle, "_SCALAR_LANES", scalar_lanes):
+        got = _outcome(optimize_quant, base, snr, regs, amps)
+    _assert_same(got, _outcome(optimize_quant_by_points, base, snr, regs, amps))
+
+
+def _handed_off(monkeypatch) -> list[float]:
+    """The reg of every lane the array iteration hands to the scalar one."""
+    regs = []
+    power_residual = saddle._power_residual
+
+    def logged(delta, rho, reg, amp, points):
+        regs.append(reg)
+        return power_residual(delta, rho, reg, amp, points)
+
+    monkeypatch.setattr(saddle, "_power_residual", logged)
+    return regs
+
+
+@pytest.mark.parametrize("scalar_lanes", [0, 1, 16, 64, 10**9])
+def test_optimize_quant_hand_off_keeps_the_scalar_floats(monkeypatch, scalar_lanes):
+    # On the fig3 grid the array iteration leaves 58 of 375 lanes after
+    # seven steps, 11 after nine and the last one after fourteen; whatever
+    # the hand-off size, every lane gets the scalar path's float.
+    base = parse_config(preset_config("fig3")).params
+    want = {snr: optimize_quant_by_points(base, snr) for snr in (0.0, 5.0)}
+    monkeypatch.setattr(saddle, "_SCALAR_LANES", scalar_lanes)
+    handed = _handed_off(monkeypatch)
+    for snr, expected in want.items():
+        handed.clear()
+        got = optimize_quant(base, snr)
+        _assert_same(got, expected)
+        assert got == expected
+        n = len(got.grid_trace)
+        if scalar_lanes == 0:
+            assert handed == []
+        elif scalar_lanes >= n:
+            assert len(handed) == n
+        else:
+            assert 0 < len(handed) <= scalar_lanes
+
+
+def test_optimize_quant_hand_off_of_a_lane_that_divides_by_zero(monkeypatch):
+    # The CI tune-quant-div0 grid fits in the hand-off: both lanes run on
+    # the scalar path from the start, and at the subnormal reg beta
+    # underflows and the iteration divides by zero, so that point is NaN
+    # as on the scalar path.  On a grid too large for the hand-off the
+    # same lane runs array steps first and is handed off later.
+    tiny = SystemParams(user_ratio=0.05, reg=1.0, amp=1.0, noise_var=0.09)
+    small = ((5e-324, 1.0), (30.0,))
+    large = ((5e-324,) + tuning._DEFAULT_REG_GRID, (30.0, 0.5, 2.0))
+    want = [optimize_quant_by_points(tiny, 5.0, *grid) for grid in (small, large)]
+    handed = _handed_off(monkeypatch)
+    got = optimize_quant(tiny, 5.0, *small)
+    _assert_same(got, want[0])
+    assert sorted(handed) == [5e-324, 1.0]
+    bers = dict(got.grid_trace)
+    assert math.isnan(bers[(5e-324, 30.0)])
+    assert math.isfinite(bers[(1.0, 30.0)])
+
+    handed.clear()
+    got = optimize_quant(tiny, 5.0, *large)
+    _assert_same(got, want[1])
+    assert 5e-324 in handed
+    assert len(handed) <= saddle._SCALAR_LANES < len(got.grid_trace)
+    assert math.isnan(dict(got.grid_trace)[(5e-324, 30.0)])
 
 
 def test_optimize_quant_covers_every_branch_of_the_scalar_path():
