@@ -32,6 +32,7 @@ from .config import (
     _PARAM_FIELDS,
     SCHEMA_VERSION,
     ExperimentConfig,
+    _json_object,
     parse_config,
     serialize_config,
 )
@@ -212,12 +213,14 @@ def run(cfg: ExperimentConfig) -> RunResult:
     failure = None
     for j, value in enumerate(points):
         if value is None:
-            where, base = "the configured point", cfg.params
+            where = "the configured point"
         else:
             where = f"sweep point {j} ({cfg.sweep_parameter}={value!r})"
-            base = replace(cfg.params, **{cfg.sweep_parameter: value})
         try:
             with _at(where):
+                base = cfg.params
+                if value is not None:
+                    base = replace(base, **{cfg.sweep_parameter: value})
                 results = [None]
                 if tuned is not None:
                     snr_db = cfg.target_snr_db
@@ -359,16 +362,8 @@ def _load_config(args) -> ExperimentConfig:
         if preset_data is None:
             cfg = parse_config(text)
         else:
-            try:
-                user = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"line {exc.lineno}: invalid JSON: {exc.msg}"
-                ) from exc
-            if not isinstance(user, dict):
-                raise ConfigError("config must be a JSON object")
             cfg = parse_config(
-                _merge_configs(preset_data, user), preset=args.preset
+                _merge_configs(preset_data, _json_object(text)), preset=args.preset
             )
     else:
         cfg = parse_config(preset_data, preset=args.preset)

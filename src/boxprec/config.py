@@ -98,18 +98,21 @@ def _as_int(value: Any, key: str, raw: str | None) -> int:
     return value
 
 
+def _json_object(text: str) -> dict:
+    """Config text as a dict; invalid JSON or a non-object is a ConfigError."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    return data
+
+
 def parse_config(source: str | dict, *, preset: str | None = None) -> ExperimentConfig:
     """Parse and validate a config from JSON text or an equivalent dict."""
-    raw: str | None
-    if isinstance(source, str):
-        raw = source
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from exc
-    else:
-        raw = None
-        data = source
+    raw = source if isinstance(source, str) else None
+    data = source if raw is None else _json_object(raw)
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(data) - _TOP_KEYS

@@ -12,8 +12,10 @@ is handled as an explicit branch, not as a large float.
 The ``*_array`` twins evaluate the same closed forms over arrays of
 points for the tuning grid.  They repeat each scalar step in the scalar
 code's order and call the scalar ``math`` routines per element, so every
-element is the float the scalar function returns wherever it returns one.
-Where every element takes one branch they skip the other's numpy calls.
+element is the float the scalar function returns wherever it returns one;
+the small-``t`` Taylor series of the truncated second moment is one
+function, ``_m2_series``, that both call.  Where every element takes one
+branch they skip the other's numpy calls.
 The saddle solver's array twin runs them while many grid points iterate,
 and finishes the last few (``saddle._SCALAR_LANES``) on the scalar
 functions.  Each evaluation, scalar or array, takes one pdf and one tail,
@@ -75,6 +77,12 @@ def _m2(t: float, pdf: float) -> float:
     """
     if t >= 0.1:
         return math.erf(t / _SQRT2) - 2.0 * t * pdf
+    return _m2_series(t)
+
+
+def _m2_series(t):
+    """The Taylor series of :func:`_m2` at ``t < 0.1``, for a float or an
+    array of them."""
     u = t * t
     acc = 0.0
     for c in reversed(_M2_SERIES):
@@ -215,12 +223,7 @@ def _m2_array(t: np.ndarray, pdf: np.ndarray) -> np.ndarray:
     out = np.empty_like(t)
     tm = t[mid]
     out[mid] = _each(math.erf, tm / _SQRT2) - 2.0 * tm * pdf[mid]
-    ts = t[~mid]
-    u = ts * ts
-    acc = np.zeros_like(u)
-    for c in reversed(_M2_SERIES):
-        acc = acc * u + c
-    out[~mid] = _SQRT_2_OVER_PI * ts * u * acc
+    out[~mid] = _m2_series(t[~mid])
     return out
 
 

@@ -205,22 +205,12 @@ def empirical_metrics(
     noise enters the error counts through the detected signs and the SDNR
     denominators analytically as ``rx_scale^2 * noise_var``.
     """
-    channel, symbols, noise = real.channel, real.symbols, real.noise
-    n = channel.shape[1]
-    d_box = channel @ sol.x_hat
-    det = np.where(box.rx_scale * (d_box + noise) >= 0.0, 1.0, -1.0)
-    err_box = int(np.sum(det != symbols))
-    sq_box = (box.rx_scale * d_box - symbols) ** 2
-    w2_box = wasserstein2_to_theory(d_box, symbols, box.sig_coef, box.dist_std)
-    power_box = float(sol.x_hat @ sol.x_hat) / n
+    err_box, sq_box, w2_box = _measure(real, sol.x_hat, box, box.dist_std)
+    power_box = float(sol.x_hat @ sol.x_hat) / real.channel.shape[1]
     err_quant = sq_quant = w2_quant = None
     if quant is not None:
-        d_q = channel @ sol.x_quant
-        det_q = np.where(quant.rx_scale * (d_q + noise) >= 0.0, 1.0, -1.0)
-        err_quant = int(np.sum(det_q != symbols))
-        sq_quant = (quant.rx_scale * d_q - symbols) ** 2
-        w2_quant = wasserstein2_to_theory(
-            d_q, symbols, quant.sig_coef, math.sqrt(quant.dist_var)
+        err_quant, sq_quant, w2_quant = _measure(
+            real, sol.x_quant, quant, math.sqrt(quant.dist_var)
         )
     return TrialMetrics(
         err_box=err_box,
@@ -234,19 +224,44 @@ def empirical_metrics(
     )
 
 
+def _measure(
+    real: Realization, x: np.ndarray, theory: BoxTheory | QuantTheory, dist_std: float
+) -> tuple[int, np.ndarray, float]:
+    """One pipeline's error count, squared distortions and W2 distance
+    when ``x`` is transmitted, measured against ``theory``'s scalings."""
+    d = real.channel @ x
+    det = np.where(theory.rx_scale * (d + real.noise) >= 0.0, 1.0, -1.0)
+    err = int(np.sum(det != real.symbols))
+    sq = (theory.rx_scale * d - real.symbols) ** 2
+    return err, sq, wasserstein2_to_theory(d, real.symbols, theory.sig_coef, dist_std)
+
+
+@functools.cache
+def _openblas():
+    """numpy's linalg extension as a ``ctypes`` library, or None.
+
+    ``dlsym`` on it also searches the BLAS it links, so the symbols of the
+    OpenBLAS that numpy's wheels bundle are found with no library path.
+    """
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+
+
 @functools.cache
 def _blas_thread_calls():
     """numpy's BLAS ``(get, set)`` thread-count calls, or None if unknown.
 
-    ``dlsym`` on numpy's linalg extension also searches the BLAS it links,
-    so no library path is needed.  The names are those of the OpenBLAS
-    that numpy's wheels bundle.
+    The names are those of the OpenBLAS that numpy's wheels bundle (see
+    :func:`_openblas`).
     """
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        # None, where the extension did not load, has neither attribute.
+        lib = _openblas()
         get = lib.scipy_openblas_get_num_threads64_
         set_ = lib.scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
+    except AttributeError:
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
@@ -275,7 +290,8 @@ def _trial(real: Realization, params, box, quant) -> TrialMetrics:
 
 
 def _run_chunk(tasks: list) -> list[TrialMetrics]:
-    """One pooled chunk of trials, each drawn, solved and measured, in order."""
+    """A chunk of trials, each drawn, solved and measured, in order: one
+    pool task, or a serial call's whole loop on one CPU."""
     # BLAS rounding depends on the thread count; one thread everywhere
     # makes serial and pooled bytes equal.
     with _one_blas_thread():
@@ -316,15 +332,13 @@ def _run_serial(params, seeds: range, box, quant) -> list[TrialMetrics]:
     draws and takes about ``(n - 1) D + S`` for ``n`` trials, when the
     helper has a core of its own; a trial longer than a draw bounds it at
     about ``D + n S``.  A process allowed on one CPU only has nothing to
-    overlap, so it runs the trials one after another on this thread.
+    overlap, so it runs the trials one after another on this thread, as
+    one :func:`_run_chunk`.
     """
+    if len(seeds) == 1 or not _spare_cpu():
+        return _run_chunk([(params, seed, box, quant) for seed in seeds])
     # The draw calls no BLAS, so one pin covers the whole loop.
     with _one_blas_thread():
-        if len(seeds) == 1 or not _spare_cpu():
-            return [
-                _trial(generate_realization(params, seed), params, box, quant)
-                for seed in seeds
-            ]
         # One block, not three: the next call reuses it warm, where three
         # separately freed buffers go back to the OS and fault in again.
         buffers = list(np.empty((3, params.n_users, params.n_antennas)))

@@ -28,6 +28,7 @@ import copy
 import math
 
 from .errors import ConfigError
+from .tuning import tune_level_for_snr
 
 __all__ = ["PRESETS", "preset_config", "preset_names"]
 
@@ -41,10 +42,6 @@ def _log_space(lo: float, hi: float, count: int) -> list[float]:
     a = math.log10(lo)
     b = math.log10(hi)
     return [10.0 ** (a + i * (b - a) / (count - 1)) for i in range(count)]
-
-
-def _snr_ramp_levels(noise_var: float, db_points: tuple[float, ...]) -> list[float]:
-    return [math.sqrt(noise_var * 10.0 ** (db / 10.0)) for db in db_points]
 
 
 _FIG4_DB = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
@@ -65,7 +62,7 @@ def _fig4(user_ratio: float, base_seed: int, path: str) -> dict:
         },
         "sweep": {
             "parameter": "level",
-            "values": _snr_ramp_levels(0.09, _FIG4_DB),
+            "values": [tune_level_for_snr(0.09, db) for db in _FIG4_DB],
         },
         "tuned": "both",
         "trials": 50,

@@ -159,16 +159,8 @@ def quant_theory(params: SystemParams, sp: SaddlePoint) -> QuantTheory:
             f"quantized theory requires target_power = 1, got {params.target_power}"
         )
     _check_solution(params, sp)
-    delta = params.user_ratio
-    tau = sp.tau
-    lvl2 = params.level * params.level
-    td = tau * delta
-    sig_coef = params.level * _E_ABS_GAUSS / td
-    excess = tau * tau * delta - 1.0
-    dist_var = lvl2 * (
-        1.0
-        - 2.0 * _E_ABS_GAUSS * sp.moments.e_abs / td
-        + (2.0 / math.pi) * excess / (td * td)
+    sig_coef, dist_var = _quant_law(
+        sp.tau, sp.moments.e_abs, params.user_ratio, params.level
     )
     denom = dist_var + params.noise_var
     if denom <= 0.0:
@@ -184,6 +176,20 @@ def quant_theory(params: SystemParams, sp: SaddlePoint) -> QuantTheory:
     )
 
 
+def _quant_law(tau, e_abs, delta: float, level: float):
+    """``(sig_coef, dist_var)`` of the one-bit observable at saddle ``tau``
+    with ``E |X| = e_abs``, for floats or arrays of them."""
+    td = tau * delta
+    sig_coef = level * _E_ABS_GAUSS / td
+    excess = tau * tau * delta - 1.0
+    dist_var = level * level * (
+        1.0
+        - 2.0 * _E_ABS_GAUSS * e_abs / td
+        + (2.0 / math.pi) * excess / (td * td)
+    )
+    return sig_coef, dist_var
+
+
 def _quant_ber_array(
     tau: np.ndarray,
     e_abs: np.ndarray,
@@ -194,18 +200,11 @@ def _quant_ber_array(
     """:func:`quant_theory`'s ``ber`` over arrays of solved saddle points.
 
     ``tau`` and ``e_abs`` are the points' ``tau`` and ``moments.e_abs``
-    at ``target_power = 1``.  Returns the BERs and the mask of lanes where
-    :func:`quant_theory` returns.
+    at ``target_power = 1``.  The law is :func:`quant_theory`'s own
+    :func:`_quant_law`, so every lane is its float.  Returns the BERs and
+    the mask of lanes where :func:`quant_theory` returns.
     """
-    lvl2 = level * level
-    td = tau * delta
-    sig_coef = level * _E_ABS_GAUSS / td
-    excess = tau * tau * delta - 1.0
-    dist_var = lvl2 * (
-        1.0
-        - 2.0 * _E_ABS_GAUSS * e_abs / td
-        + (2.0 / math.pi) * excess / (td * td)
-    )
+    sig_coef, dist_var = _quant_law(tau, e_abs, delta, level)
     denom = dist_var + noise_var
     ok = denom > 0.0
     ber = np.full_like(tau, math.nan)

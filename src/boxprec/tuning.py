@@ -60,15 +60,33 @@ class TuneResult:
     grid_trace: tuple[tuple, ...]
 
 
+def _snr_power(noise_var: float, snr_db: float) -> float:
+    """Per-antenna transmit power ``noise_var * 10^(dB/10)`` at ``snr_db`` dB.
+
+    A power that overflows, or that underflows to 0 from a positive
+    ``noise_var``, is a :class:`DomainError`.
+    """
+    try:
+        power = noise_var * 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        power = math.inf
+    if math.isinf(power):
+        raise DomainError(f"transmit SNR {snr_db!r} dB overflows")
+    if power == 0.0 and noise_var > 0.0:
+        raise DomainError(f"transmit SNR {snr_db!r} dB underflows")
+    return power
+
+
 def tune_level_for_snr(noise_var: float, snr_tx_db: float) -> float:
     """Quantizer level achieving a transmit SNR of ``snr_tx_db`` dB.
 
     The quantized pipeline transmits ``level^2`` per antenna, so
-    ``level = sqrt(noise_var * 10^(dB/10))``.
+    ``level = sqrt(noise_var * 10^(dB/10))``; an SNR whose level
+    overflows or underflows to 0 is a :class:`DomainError`.
     """
     if not noise_var > 0.0:
         raise DomainError(f"noise_var must be positive, got {noise_var!r}")
-    return math.sqrt(noise_var * 10.0 ** (snr_tx_db / 10.0))
+    return math.sqrt(_snr_power(noise_var, snr_tx_db))
 
 
 def tune_target_power(params: SystemParams, power: float) -> TuneResult:
@@ -138,12 +156,13 @@ def optimize_box(
 
     For every grid value the target power is re-tuned so the transmit SNR
     stays at ``snr_tx_db``; infeasible grid points enter the trace with a
-    NaN metric.  Ties break to the smallest reg.
+    NaN metric.  Ties break to the smallest reg.  An SNR whose power
+    overflows, or underflows to 0, is a :class:`DomainError`.
     """
     grid = _DEFAULT_REG_GRID if reg_grid is None else tuple(reg_grid)
     if not grid:
         raise DomainError("empty reg grid")
-    power = params.noise_var * 10.0 ** (snr_tx_db / 10.0)
+    power = _snr_power(params.noise_var, snr_tx_db)
     trace = []
     best: tuple[float, SystemParams] | None = None
     for reg in grid:

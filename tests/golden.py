@@ -1,16 +1,19 @@
-"""Golden SHA-256 digests of the fig3 preset's output, per environment.
+"""Golden SHA-256 digests of the presets' output, per environment.
 
-``golden.json`` holds, for each environment that has recorded one, the
-digest of fig3's CSV and of its sidecar without ``config.output.path``
-(the only field that depends on where the file was written).  An
-environment is the sidecar's ``environment`` block plus the name of the
-CPU kernel set that numpy's bundled OpenBLAS picked at load time, which
-the sidecar does not record but which can change the floats.
+``golden.json`` holds, per preset and for each environment that has
+recorded one, the digest of the preset's CSV and of its sidecar without
+``config.output.path`` (the only field that depends on where the file was
+written).  An environment is the sidecar's ``environment`` block plus the
+name of the CPU kernel set that numpy's bundled OpenBLAS picked at load
+time, which the sidecar does not record but which can change the floats.
 
-    python tests/golden.py            # run fig3, compare with the entry
-    python tests/golden.py --update   # run fig3, write this environment's entry
+    python tests/golden.py [PRESET ...]           # run, compare with the entries
+    python tests/golden.py --in DIR [PRESET ...]  # compare DIR/PRESET.csv as written
+    python tests/golden.py --update [PRESET ...]  # run, write this environment's entries
 
-Run from the root of a checkout with ``src`` on ``PYTHONPATH``.
+The presets default to all five.  A digest that differs from its entry
+fails (exit 1); an environment with no entry prints its key and digests,
+which is not a failure.  Run with ``src`` on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -23,21 +26,18 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+from boxprec.cli import main as boxprec_main
+from boxprec.montecarlo import _openblas
+from boxprec.presets import preset_names
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
 
 def blas_core() -> str | None:
-    """The OpenBLAS core name numpy's BLAS runs on, or None if unknown.
-
-    As in ``boxprec.montecarlo``, ``dlsym`` on numpy's linalg extension
-    also finds the symbols of the OpenBLAS that numpy's wheels bundle.
-    """
+    """The OpenBLAS core name numpy's BLAS runs on, or None if unknown."""
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        corename = lib.scipy_openblas_get_corename64_
-    except (OSError, AttributeError):
+        corename = _openblas().scipy_openblas_get_corename64_
+    except AttributeError:  # no such symbol, or no library (None)
         return None
     corename.argtypes, corename.restype = [], ctypes.c_char_p
     name = corename()
@@ -68,52 +68,50 @@ def digests(csv_path: Path) -> dict:
     }
 
 
-def entry_for(key: dict) -> dict | None:
-    """The recorded fig3 entry for ``key``, or None if there is none."""
-    entries = json.loads(GOLDEN.read_text(encoding="utf-8"))["fig3"]
+def entry_for(preset: str, key: dict) -> dict | None:
+    """The recorded entry of ``preset`` for ``key``, or None if there is none."""
+    entries = json.loads(GOLDEN.read_text(encoding="utf-8")).get(preset, [])
     return next((e for e in entries if e["key"] == key), None)
 
 
 def mismatches(entry: dict, csv_path: Path) -> list[str]:
     """The digests of ``csv_path`` that differ from ``entry``'s."""
-    got = digests(csv_path)
     return [
         f"{name}: recorded {entry[name]} got {value}"
-        for name, value in got.items()
+        for name, value in digests(csv_path).items()
         if entry[name] != value
     ]
 
 
 def main(argv=None) -> int:
-    from boxprec.cli import main as boxprec_main
-
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument(
-        "--update", action="store_true", help="write this environment's entry"
-    )
+    parser.add_argument("presets", nargs="*", metavar="PRESET")
+    parser.add_argument("--in", dest="in_dir", metavar="DIR", help="compare DIR/PRESET.csv")
+    parser.add_argument("--update", action="store_true", help="write this environment's entries")
     args = parser.parse_args(argv)
+    data = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "fig3.csv"
-        if boxprec_main(["run", "--preset", "fig3", "--out", str(out)]) != 0:
-            raise SystemExit("boxprec run --preset fig3 failed")
-        key = environment_key(out)
-        if args.update:
-            data = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-            entries = [e for e in data.get("fig3", []) if e["key"] != key]
-            data["fig3"] = entries + [{"key": key, **digests(out)}]
-            GOLDEN.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-            print(f"fig3: wrote the entry for {json.dumps(key, sort_keys=True)}")
-            return 0
-        entry = entry_for(key)
-        if entry is None:
-            print(f"fig3: no entry for {json.dumps(key, sort_keys=True)}")
-            return 1
-        problems = mismatches(entry, out)
-        for line in problems:
-            print(f"fig3: {line}")
-        if not problems:
-            print("fig3: matches the recorded digests")
-        return 1 if problems else 0
+        for name in args.presets or preset_names():
+            out = Path(args.in_dir or tmp) / f"{name}.csv"
+            if args.in_dir is None and boxprec_main(["run", "--preset", name, "--out", str(out)]):
+                raise SystemExit(f"boxprec run --preset {name} failed")
+            key = environment_key(out)
+            shown = json.dumps(key, sort_keys=True)
+            if args.update:
+                others = [e for e in data.get(name, []) if e["key"] != key]
+                data[name] = others + [{"key": key, **digests(out)}]
+                print(f"{name}: wrote the entry for {shown}")
+            elif (entry := entry_for(name, key)) is None:
+                print(f"{name}: no entry for {shown}; got {json.dumps(digests(out))}")
+            else:
+                problems = mismatches(entry, out)
+                for line in problems or ["matches the recorded digests"]:
+                    print(f"{name}: {line}")
+                failed = failed or bool(problems)
+    if args.update:
+        GOLDEN.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return int(failed)
 
 
 if __name__ == "__main__":

@@ -294,19 +294,30 @@ def test_criterion_10_determinism(fig3_runs):
     assert same
 
 
-def test_fig3_matches_golden_digests(fig3_runs):
-    first, _, _ = fig3_runs
-    key = golden.environment_key(first)
-    entry = golden.entry_for(key)
+def _assert_golden(preset: str, out) -> None:
+    key = golden.environment_key(out)
+    entry = golden.entry_for(preset, key)
     if entry is None:
-        pytest.skip(f"tests/golden.json has no fig3 entry for {key}")
-    assert golden.mismatches(entry, first) == []
+        pytest.skip(f"tests/golden.json has no {preset} entry for {key}")
+    assert golden.mismatches(entry, out) == []
+
+
+def test_fig3_matches_golden_digests(fig3_runs):
+    _assert_golden("fig3", fig3_runs[0])
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig2"])
+def test_theory_presets_match_golden_digests(tmp_path, preset):
+    # The theory-only presets run in about 0.3 s each.
+    out = tmp_path / f"{preset}.csv"
+    assert cli.main(["run", "--preset", preset, "--out", str(out)]) == 0
+    _assert_golden(preset, out)
 
 
 def test_golden_digests_catch_a_tampered_empirical_cell(fig3_runs, tmp_path):
     # One emp_* cell moved by 1e-3: the CSV digest no longer matches.
     first, _, _ = fig3_runs
-    entry = golden.entry_for(golden.environment_key(first)) or golden.digests(first)
+    entry = golden.entry_for("fig3", golden.environment_key(first)) or golden.digests(first)
     copy = tmp_path / "fig3.csv"
     shutil.copyfile(first, copy)
     shutil.copyfile(f"{first}.meta.json", f"{copy}.meta.json")

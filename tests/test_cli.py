@@ -408,6 +408,26 @@ def test_exit_2_on_config_problems(tmp_path, capsys):
     assert "target_snr_db" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("parameter, value", [("reg", 0.0), ("amp", -1.0)])
+def test_invalid_sweep_value_names_its_point(tmp_path, capsys, parameter, value):
+    # reg 0 needs user_ratio >= 1, and amp must be positive: SystemParams
+    # refuses the second point's params themselves.
+    data = base_config("sweep", sweep={"parameter": parameter, "values": [1.0, value]})
+    assert main(["run", "--config", write_config(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: at sweep point 1 ({parameter}={value!r}): ")
+
+
+@pytest.mark.parametrize("mode, amp", [("tune-quant", 1.0), ("tune-box", 2.0)])
+@pytest.mark.parametrize("db", [4000.0, -4000.0])
+def test_exit_2_on_out_of_range_snr(tmp_path, capsys, mode, amp, db):
+    cfg = base_config(mode, target_snr_db=db)
+    cfg["params"]["amp"] = amp
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: at the configured point: transmit SNR {db!r} dB")
+
+
 def test_exit_3_on_infeasible_tuning(tmp_path, capsys):
     cfg = base_config("tune-box", target_snr_db=5.0, reg_grid=[1.0])
     cfg["params"]["amp"] = 0.5  # 5 dB needs power 0.285 > amp^2

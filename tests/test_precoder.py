@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -429,22 +431,61 @@ def test_matched_filter_start_forms_the_gram_when_a_wide_block_needs_it(monkeypa
     assert float(np.abs(sol.x_hat - expected.x_hat).max()) < 1e-10
 
 
-def test_loose_tolerance_after_rejected_active_set():
+def _lines_run(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the set of ``solve_box_qp`` lines it ran."""
+    code = precoder.solve_box_qp.__code__
+    lines = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return local
+
+    saved = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        return fn(*args, **kwargs), lines
+    finally:
+        sys.settrace(saved)
+
+
+def _solve_box_qp_line(text: str) -> int:
+    """The number of the one line of ``solve_box_qp`` that contains ``text``."""
+    source, start = inspect.getsourcelines(precoder.solve_box_qp)
+    (i,) = [i for i, line in enumerate(source) if text in line]
+    return start + i
+
+
+def _assert_loose_polish(p, seed, accepted):
     # With tol above the hand-over, the gradient phase itself meets tol
-    # when the active-set point is rejected (this instance); the solver
-    # then tries one free-block solve on the iterate's active set and
-    # keeps the iterate unless that solve passes the same checks.
-    p = SystemParams(
-        user_ratio=0.2, reg=FIG3_REG, amp=0.46415888336127786, noise_var=0.09,
-        n_antennas=1000,
-    )
-    real = generate_realization(p, 90015)
-    sol = solve_box_qp(real, p, tol=1e-4)
+    # when the active-set point is rejected; the solver then tries one
+    # free-block solve on the iterate's active set and keeps the iterate
+    # unless that solve passes the same checks.
+    real = generate_realization(p, seed)
+    sol, lines = _lines_run(solve_box_qp, real, p, tol=1e-4)
+    assert _solve_box_qp_line("free_solve(x >= amp, x <= -amp)") in lines
+    accept = _solve_box_qp_line("return _solution(x_fs, params, c_fs, r_fs, iterations)")
+    assert (accept in lines) == accepted
     cost, resid = _cost_and_kkt(real, p, sol.x_hat)
     assert float(np.abs(sol.x_hat).max()) <= p.amp
     assert resid < 1e-4
     assert cost == pytest.approx(sol.cost, rel=1e-12)
     assert cost <= _cost_and_kkt(real, p, _clipped_ridge(real, p))[0]
+
+
+def test_loose_tolerance_after_rejected_active_set():
+    # At fig4-left's tuned one-bit box most draws reach the free-block
+    # solve, and it fails the checks: the iterate is kept.
+    p = SystemParams(user_ratio=0.15, reg=0.001, amp=0.473, noise_var=0.09, n_antennas=800)
+    _assert_loose_polish(p, 40000, accepted=False)
+
+
+def test_loose_tolerance_free_block_solve_accepted():
+    # A rare draw where that solve passes the checks: in a random search
+    # over small instances, 1 in 50 to 1 in 80 of the solves that reached
+    # the free-block solve kept its point.
+    p = SystemParams(user_ratio=0.15, reg=1e-4, amp=0.5, noise_var=0.09, n_antennas=40)
+    _assert_loose_polish(p, 68, accepted=True)
 
 
 def _ks_to_clipped_gaussian(sample: np.ndarray, alpha: float, amp: float) -> float:

@@ -42,6 +42,22 @@ def test_level_formula():
         tune_level_for_snr(-0.1, 5.0)
 
 
+@pytest.mark.parametrize("db, word", [(4000.0, "overflows"), (-4000.0, "underflows")])
+def test_out_of_range_snr_is_a_domain_error(db, word):
+    # 10^400 overflows a float (Python raises OverflowError) and 10^-400
+    # underflows to 0, a level of 0; both name the SNR.
+    message = f"transmit SNR {db!r} dB {word}"
+    with pytest.raises(DomainError, match=message):
+        tune_level_for_snr(0.09, db)
+    with pytest.raises(DomainError, match=message):
+        optimize_box(replace(BASE, amp=2.0), db, reg_grid=(1.0,))
+    with pytest.raises(DomainError, match=message):
+        optimize_quant(BASE, db, reg_grid=(1.0,), amp_grid=(1.0,))
+    # A finite noise power times a finite factor can overflow too.
+    with pytest.raises(DomainError, match="overflows"):
+        tune_level_for_snr(1e300, 100.0)
+
+
 def test_power_tuning_hits_target():
     for power in (0.05, 0.3, 0.9):
         res = tune_target_power(BASE, power)
