@@ -41,7 +41,7 @@ from .montecarlo import _run_jobs
 from .presets import preset_config, preset_names
 from .saddle import SystemParams, solve_saddle
 from .theory import box_theory, bussgang_theory, quant_theory
-from .tuning import optimize_box, optimize_quant
+from .tuning import _snr_db, optimize_box, optimize_quant
 
 __all__ = [
     "RunResult",
@@ -225,7 +225,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
                 if tuned is not None:
                     snr_db = cfg.target_snr_db
                     if snr_db is None:
-                        snr_db = 10.0 * math.log10(base.level**2 / base.noise_var)
+                        snr_db = _snr_db(base.level, base.noise_var)
                     results = [
                         optimize_box(base, snr_db, cfg.reg_grid) if p == "box"
                         else optimize_quant(base, snr_db, cfg.reg_grid, cfg.amp_grid)
@@ -408,8 +408,14 @@ def _read_table(path: str) -> list[dict]:
         return [dict(zip(header, cells)) for cells in reader]
 
 
+# The theory columns verify_file recomputes, by prefix, and the kernel
+# that gives them.
+_THEORY = (("box_", box_theory), ("quant_", quant_theory), ("buss_", bussgang_theory))
+
+
 def verify_file(path: str, tol: float = 1e-12) -> list[str]:
-    """Recompute each row's theory columns from its parameter columns.
+    """Recompute each row's saddle and theory columns from its parameter
+    columns, each kernel only where the row holds its columns.
 
     Returns human-readable mismatch descriptions; empty means the file
     is internally consistent to ``tol`` (relative above 1, absolute
@@ -442,7 +448,13 @@ def verify_file(path: str, tol: float = 1e-12) -> list[str]:
             problems.append(f"row {i}: unreadable params ({exc})")
             continue
         try:
-            expected = _theory_row(SystemParams(**kwargs))
+            # Only the columns the row holds: a saddle row has no theory
+            # cell, and its point may be one box_theory refuses.
+            params = SystemParams(**kwargs)
+            sp, expected = _saddle_row(params)
+            for prefix, kernel in _THEORY:
+                if any(c.startswith(prefix) for c in present):
+                    expected.update(_cells(kernel(params, sp), prefix))
         except (DomainError, SolverError) as exc:
             problems.append(f"row {i}: recompute failed ({exc})")
             continue

@@ -24,7 +24,6 @@ and the tail also serves ``E |X|``.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -109,16 +108,8 @@ class ClipMoments:
     e_xh: float
 
 
-# One entry on purpose: the theory functions' consistency check asks for
-# the moments at the (alpha, amp) that the saddle solver's own final check
-# evaluated just before, and that is the only repeat worth serving.  A
-# call with any other arguments recomputes.
-@functools.lru_cache(maxsize=1)
 def clip_moments(alpha: float, amp: float) -> ClipMoments:
     """Closed-form moments of the clipped Gaussian response.
-
-    The last evaluation is memoised on its exact arguments, so a repeated
-    call returns the same (immutable) result without recomputing it.
 
     Parameters
     ----------
@@ -148,14 +139,14 @@ def clip_moments(alpha: float, amp: float) -> ClipMoments:
     if math.isnan(amp) or not amp > 0.0:
         raise DomainError(f"amp must be positive or inf, got {amp!r}")
     if math.isinf(alpha):
-        return ClipMoments(e_abs=0.0, e_sq=0.0, e_xh=0.0)
+        return ClipMoments(0.0, 0.0, 0.0)
     e_sq, e_xh, _, q = _clip_terms(alpha, amp)
     inv = 1.0 / alpha
     t = amp * alpha
     if t >= 40.0:
-        return ClipMoments(e_abs=_SQRT_2_OVER_PI * inv, e_sq=e_sq, e_xh=e_xh)
+        return ClipMoments(_SQRT_2_OVER_PI * inv, e_sq, e_xh)
     e_abs = -_SQRT_2_OVER_PI * math.expm1(-0.5 * t * t) * inv + 2.0 * amp * q
-    return ClipMoments(e_abs=e_abs, e_sq=e_sq, e_xh=e_xh)
+    return ClipMoments(e_abs, e_sq, e_xh)
 
 
 def _clip_terms(alpha: float, amp: float) -> tuple[float, float, float, float]:

@@ -79,6 +79,12 @@ _RESIDUAL_TOL = 1e-9  # contract on both residuals of a returned point
 # the scalar path is faster; 16 leaves a margin for slower scalar steps.
 _SCALAR_LANES = 16
 
+# The (params, point) pair solve_saddle returned last, written as one
+# tuple so a reader never sees half of an update.  theory's consistency
+# check reads it by identity to skip re-verifying the point that
+# _assemble has just checked; it holds one pair and no other state.
+_last_solved: tuple = (None, None)
+
 
 @dataclass(frozen=True, slots=True)
 class SystemParams:
@@ -421,11 +427,14 @@ def solve_saddle(params: SystemParams) -> SaddlePoint:
         free = delta * tau_free * tau_free - 1.0
         _falling_root(power_residual, math.sqrt(free / rho) if free > 0.0 else 1.0)
         tau, beta = points[-1]
-        return _assemble(tau, beta, params, len(points))
+        sp = _assemble(tau, beta, params, len(points))
     except ZeroDivisionError as exc:
         raise SolverError(
             f"saddle solve divided by zero at reg={params.reg!r}, amp={params.amp!r}"
         ) from exc
+    global _last_solved
+    _last_solved = (params, sp)
+    return sp
 
 
 def _solve_saddle_array(
@@ -498,15 +507,9 @@ def _assemble(
         raise SolverError(
             f"saddle residuals {res_power:.3e}, {res_beta:.3e} exceed {_RESIDUAL_TOL}"
         )
+    phi = _phi(tau, beta, alpha, moments, params)
     return SaddlePoint(
-        tau=tau,
-        beta=beta,
-        alpha=alpha,
-        phi=_phi(tau, beta, alpha, moments, params),
-        moments=moments,
-        residual_power=res_power,
-        residual_beta=res_beta,
-        evaluations=evaluations + 1,
+        tau, beta, alpha, phi, moments, res_power, res_beta, evaluations + 1
     )
 
 

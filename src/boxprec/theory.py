@@ -14,7 +14,11 @@ Three characterizations, all parameterized by the saddle point of
 
 Per-user received observables decompose as ``sig_coef * symbol`` plus a
 zero-mean Gaussian distortion; BER statements assume symbols are detected
-by the sign of the (scaled) observation.
+by the sign of the (scaled) observation.  Where a field of their record
+would overflow or lose its meaning (``inf``, NaN, a division by an
+underflowed zero), the three functions raise
+:class:`~boxprec.errors.DomainError` instead of returning the degraded
+number.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import saddle
 from .errors import DomainError
 from .moments import _SQRT2, _each, q_tail
 from .saddle import _RESIDUAL_TOL, SaddlePoint, SystemParams, saddle_residuals
@@ -46,18 +51,39 @@ def _check_solution(params: SystemParams, sp: SaddlePoint) -> None:
 
     Residuals are recomputed from ``params``, ``sp.tau`` and ``sp.beta``
     so that a mismatched (params, saddle) pair cannot slip through.  The
-    moments behind them come from :func:`~boxprec.moments.clip_moments`,
-    whose one-entry memo serves them when ``sp`` is the point the solver
-    just returned for ``params``; any other ``(alpha, amp)`` recomputes
-    them in full.  The memo returns the same floats either way, so the
-    check refuses exactly the pairs it would refuse without it.
+    one pair that skips them is the pair :func:`~boxprec.saddle.solve_saddle`
+    returned last, recognised by identity: that very ``params`` object
+    with that very ``sp`` object.  The solver applied this same test to
+    these same floats before returning the point, and both records are
+    frozen, so the check refuses exactly the pairs it would refuse
+    without the shortcut.  Any other pair, an equal copy of either half
+    included, is checked in full.
     """
+    last_params, last_sp = saddle._last_solved
+    if last_params is params and last_sp is sp:
+        return
     _, _, r_power, r_beta = saddle_residuals(params, sp.tau, sp.beta)
     if abs(r_power) > _RESIDUAL_TOL or abs(r_beta) > _RESIDUAL_TOL:
         raise DomainError(
             "saddle point does not solve these params "
             f"(residuals {r_power:.3e}, {r_beta:.3e})"
         )
+
+
+def _refuse_nonfinite(record) -> None:
+    """Raise :class:`DomainError` naming the first non-finite field of
+    ``record``, a theory record; return if there is none.
+
+    The kernels call it only when the sum of their outputs is not finite:
+    a non-finite term always makes it so, and finite terms can only by
+    overflowing, which this then finds harmless.
+    """
+    for name in record.__slots__:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise DomainError(
+                f"{type(record).__name__}.{name} is not finite ({value!r})"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,14 +164,11 @@ def box_theory(params: SystemParams, sp: SaddlePoint) -> BoxTheory:
         raise DomainError("zero distortion and zero noise: SDNR undefined")
     sdnr_lb = sig_coef * sig_coef / denom
     ber = q_tail(sig_coef / math.sqrt(denom))
-    return BoxTheory(
-        power=power,
-        sig_coef=sig_coef,
-        dist_std=dist_std,
-        sdnr_lb=sdnr_lb,
-        ber=ber,
-        rx_scale=1.0 / sig_coef,
-    )
+    rx_scale = 1.0 / sig_coef
+    out = BoxTheory(power, sig_coef, dist_std, sdnr_lb, ber, rx_scale)
+    if not math.isfinite(power + sig_coef + dist_std + sdnr_lb + ber + rx_scale):
+        _refuse_nonfinite(out)
+    return out
 
 
 def quant_theory(params: SystemParams, sp: SaddlePoint) -> QuantTheory:
@@ -165,15 +188,15 @@ def quant_theory(params: SystemParams, sp: SaddlePoint) -> QuantTheory:
     denom = dist_var + params.noise_var
     if denom <= 0.0:
         raise DomainError("nonpositive distortion-plus-noise variance")
+    if sig_coef == 0.0:
+        raise DomainError("signal coefficient underflows to 0")
     sdnr_lb = sig_coef * sig_coef / denom
     ber = q_tail(sig_coef / math.sqrt(denom))
-    return QuantTheory(
-        sig_coef=sig_coef,
-        dist_var=dist_var,
-        sdnr_lb=sdnr_lb,
-        ber=ber,
-        rx_scale=1.0 / sig_coef,
-    )
+    rx_scale = 1.0 / sig_coef
+    out = QuantTheory(sig_coef, dist_var, sdnr_lb, ber, rx_scale)
+    if not math.isfinite(sig_coef + dist_var + sdnr_lb + ber + rx_scale):
+        _refuse_nonfinite(out)
+    return out
 
 
 def _quant_law(tau, e_abs, delta: float, level: float):
@@ -202,11 +225,15 @@ def _quant_ber_array(
     ``tau`` and ``e_abs`` are the points' ``tau`` and ``moments.e_abs``
     at ``target_power = 1``.  The law is :func:`quant_theory`'s own
     :func:`_quant_law`, so every lane is its float.  Returns the BERs and
-    the mask of lanes where :func:`quant_theory` returns.
+    the mask of lanes where :func:`quant_theory` returns: a positive
+    denominator, a nonzero signal coefficient and finite outputs, the
+    BER being finite wherever the other four are.
     """
     sig_coef, dist_var = _quant_law(tau, e_abs, delta, level)
     denom = dist_var + noise_var
-    ok = denom > 0.0
+    ok = (denom > 0.0) & (sig_coef != 0.0)
+    for value in (sig_coef, dist_var, sig_coef * sig_coef / denom, 1.0 / sig_coef):
+        ok &= np.isfinite(value)
     ber = np.full_like(tau, math.nan)
     ber[ok] = 0.5 * _each(math.erfc, sig_coef[ok] / np.sqrt(denom[ok]) / _SQRT2)
     return ber, ok
@@ -237,14 +264,13 @@ def bussgang_theory(params: SystemParams, sp: SaddlePoint) -> BussgangTheory:
     sig_coef = gain * (1.0 - ratio)
     dist_var = gain * gain * ratio * ratio * excess
     noise_var = dist_var + resid_var + params.noise_var
+    if noise_var == 0.0:
+        raise DomainError("zero distortion, residual and noise: BER undefined")
     ber = q_tail(sig_coef / math.sqrt(noise_var))
-    return BussgangTheory(
-        gain=gain,
-        resid_var=resid_var,
-        sig_coef=sig_coef,
-        noise_var=noise_var,
-        ber=ber,
-    )
+    out = BussgangTheory(gain, resid_var, sig_coef, noise_var, ber)
+    if not math.isfinite(gain + resid_var + sig_coef + noise_var + ber):
+        _refuse_nonfinite(out)
+    return out
 
 
 def snr_tx(

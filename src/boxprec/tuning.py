@@ -77,6 +77,26 @@ def _snr_power(noise_var: float, snr_db: float) -> float:
     return power
 
 
+def _snr_db(level: float, noise_var: float) -> float:
+    """Transmit SNR ``10 log10(level^2 / noise_var)`` in dB of the
+    quantized pipeline at ``level``, the inverse of :func:`_snr_power`.
+
+    A zero ``noise_var``, and a power ratio that overflows or underflows
+    to 0, is a :class:`DomainError`.
+    """
+    if noise_var == 0.0:
+        raise DomainError("transmit SNR undefined for noise_var = 0")
+    try:
+        ratio = level**2 / noise_var
+    except OverflowError:
+        ratio = math.inf
+    if math.isinf(ratio):
+        raise DomainError(f"transmit SNR of level {level!r} overflows")
+    if ratio == 0.0:
+        raise DomainError(f"transmit SNR of level {level!r} underflows")
+    return 10.0 * math.log10(ratio)
+
+
 def tune_level_for_snr(noise_var: float, snr_tx_db: float) -> float:
     """Quantizer level achieving a transmit SNR of ``snr_tx_db`` dB.
 

@@ -428,6 +428,48 @@ def test_exit_2_on_out_of_range_snr(tmp_path, capsys, mode, amp, db):
     assert err.startswith(f"config error: at the configured point: transmit SNR {db!r} dB")
 
 
+def _edge(mode, sweep=None, **params):
+    """A config in ``mode``; with ``sweep = (parameter, values)`` a sweep
+    tuned for the box pipeline, with no ``target_snr_db``."""
+    data = base_config(mode)
+    data["params"].update(params)
+    if sweep is not None:
+        parameter, values = sweep
+        data.update(
+            tuned="box", reg_grid=[1.0], sweep={"parameter": parameter, "values": values}
+        )
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, code",
+    [
+        # A tuned sweep with no target_snr_db derives it from level and
+        # noise_var, which can divide by zero, underflow or overflow.
+        (_edge("sweep", ("noise_var", [0.0]), amp=2.0), 2),
+        (_edge("sweep", ("level", [5e-324]), amp=2.0), 2),
+        (_edge("sweep", ("level", [1e300]), amp=2.0), 2),
+        # Saddle points that box_theory refuses, which verify need not ask for.
+        (_edge("saddle", user_ratio=1e300, amp=2.0), 0),
+        (_edge("saddle", reg=0.001, amp=1e-300), 0),
+        # level^2 overflows the quantized distortion variance.
+        (_edge("theory", level=1e300), 2),
+    ],
+    ids=["noise-var-0", "level-tiny", "level-huge", "saddle-ratio", "saddle-amp", "theory-level"],
+)
+def test_edge_configs_exit_cleanly(tmp_path, monkeypatch, capsys, data, code):
+    monkeypatch.setenv("BOXPREC_WORKERS", "1")
+    out = str(tmp_path / "out.csv")
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", out]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        assert main(["verify", "--in", out, "--tol", "1e-12"]) == 0
+    else:
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("config error: at ")
+
+
 def test_exit_3_on_infeasible_tuning(tmp_path, capsys):
     cfg = base_config("tune-box", target_snr_db=5.0, reg_grid=[1.0])
     cfg["params"]["amp"] = 0.5  # 5 dB needs power 0.285 > amp^2

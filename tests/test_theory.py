@@ -1,9 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from boxprec import (
+    BoxTheory,
     DomainError,
     SystemParams,
     box_theory,
@@ -11,6 +12,7 @@ from boxprec import (
     quant_theory,
     snr_tx,
     solve_saddle,
+    theory,
 )
 from boxprec.moments import q_tail
 
@@ -116,23 +118,102 @@ def test_quant_requires_unit_target_power():
         bussgang_theory(p, sp)
 
 
+CHECKERS = (box_theory, quant_theory, bussgang_theory, lambda p, sp: snr_tx(p, "box", sp))
+# Solved after the pinned point, it takes the solver's last pair.
+OTHER = SystemParams(user_ratio=0.5, reg=0.3, amp=1.5, noise_var=0.09)
+
+
+def _foreign(p, sp):
+    """Pairs of which one half does not belong to the other."""
+    pairs = [(replace(p, **{field: getattr(p, field) * 1.01}), sp)
+             for field in ("user_ratio", "reg", "amp", "target_power")]
+    pairs += [(SystemParams(user_ratio=0.2, reg=1.0, amp=2.0, noise_var=0.09), sp)]
+    pairs += [(p, replace(sp, tau=sp.tau * 1.001)), (p, replace(sp, beta=sp.beta * 1.001))]
+    return pairs
+
+
 def test_theory_rejects_foreign_saddle_point():
-    p, sp = pinned()
+    p = SystemParams(**PINNED)
     # A saddle point that does not satisfy this p's fixed point must be
     # refused; silent reuse across parameter sets was a real bug class.
-    # Each foreign call comes right after the genuine pair, which leaves
-    # that pair's moments in clip_moments' memo.  (The quantized and
-    # Bussgang models refuse target_power != 1 before they get that far.)
-    foreign = [(replace(p, **{field: getattr(p, field) * 1.01}), sp)
-               for field in ("user_ratio", "reg", "amp", "target_power")]
-    foreign += [(SystemParams(user_ratio=0.2, reg=1.0, amp=2.0, noise_var=0.09), sp)]
-    foreign += [(p, replace(sp, tau=sp.tau * 1.001)), (p, replace(sp, beta=sp.beta * 1.001))]
-    checkers = (box_theory, quant_theory, bussgang_theory, lambda p, sp: snr_tx(p, "box", sp))
-    for checker in checkers:
-        for other_p, other_sp in foreign:
+    # Each foreign pair is tried right after solve_saddle returned the
+    # genuine pair, whose check then skips the residuals, so a foreign
+    # pair sharing either half of it must still be checked in full.
+    # (The quantized and Bussgang models refuse target_power != 1 before
+    # they get that far.)
+    for checker in CHECKERS:
+        for k in range(len(_foreign(p, solve_saddle(p)))):
+            sp = solve_saddle(p)
             checker(p, sp)
+            other_p, other_sp = _foreign(p, sp)[k]
             with pytest.raises(DomainError):
                 checker(other_p, other_sp)
+        # An older point, after the solver has returned another: refused
+        # for the newer params, accepted for the params it solves.
+        older = solve_saddle(p)
+        solve_saddle(OTHER)
+        with pytest.raises(DomainError):
+            checker(OTHER, older)
+        checker(p, older)
+        # Params equal to the solved ones but a distinct object: checked
+        # in full, and accepted.
+        sp = solve_saddle(p)
+        twin = SystemParams(**PINNED)
+        assert twin == p and twin is not p
+        checker(twin, sp)
+
+
+def _bits(result):
+    if isinstance(result, float):
+        return result.hex()
+    return tuple(getattr(result, f.name).hex() for f in fields(result))
+
+
+def test_skipped_check_gives_the_bits_of_the_full_check(monkeypatch):
+    calls = []
+    real = theory.saddle_residuals
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(theory, "saddle_residuals", counted)
+    p = SystemParams(**PINNED)
+    for checker in CHECKERS:
+        sp = solve_saddle(p)
+        calls.clear()
+        skipped = checker(p, sp)
+        assert calls == []
+        solve_saddle(OTHER)
+        full = checker(p, sp)
+        assert len(calls) == 1
+        assert _bits(skipped) == _bits(full)
+
+
+@pytest.mark.parametrize(
+    "kernel, params, message",
+    [
+        # level^2 overflows into the distortion and residual variances.
+        (quant_theory, dict(level=1e300), "QuantTheory.dist_var is not finite"),
+        (bussgang_theory, dict(level=1e300), "BussgangTheory.resid_var is not finite"),
+        # The signal coefficient underflows: to the smallest subnormal,
+        # whose inverse overflows, and to 0.
+        (quant_theory, dict(level=5e-324, user_ratio=2.0), "QuantTheory.rx_scale"),
+        (quant_theory, dict(level=5e-324, user_ratio=5.0), "underflows to 0"),
+        (bussgang_theory, dict(level=5e-324, noise_var=0.0), "BER undefined"),
+    ],
+)
+def test_theory_refuses_degraded_numbers(kernel, params, message):
+    p = SystemParams(**{**PINNED, **params})
+    with pytest.raises(DomainError, match=message):
+        kernel(p, solve_saddle(p))
+
+
+def test_nonfinite_check_names_the_field_or_returns():
+    with pytest.raises(DomainError, match=r"BoxTheory.sdnr_lb is not finite \(nan\)"):
+        theory._refuse_nonfinite(BoxTheory(1.0, 1.0, 1.0, math.nan, math.inf, 1.0))
+    # Finite fields whose sum overflows pass.
+    theory._refuse_nonfinite(BoxTheory(1e308, 1e308, 1.0, 1.0, 0.5, 1.0))
 
 
 def test_snr_tx_identities():

@@ -452,6 +452,18 @@ def test_optimize_quant_covers_every_branch_of_the_scalar_path():
         )
 
 
+def test_optimize_quant_drops_the_points_quant_theory_refuses():
+    # At 78 dB over noise_var 1e300, level^2 = 6.3e307: most points'
+    # distortion variance overflows, which quant_theory refuses, and the
+    # array pass must leave out exactly those points.
+    base = SystemParams(user_ratio=0.2, reg=1.0, amp=1.0, noise_var=1e300)
+    grid = ((1e-3, 1.0, 10.0), (0.05, 1.0, math.inf))
+    got = optimize_quant(base, 78.0, *grid)
+    _assert_same(got, optimize_quant_by_points(base, 78.0, *grid))
+    bers = [ber for _, ber in got.grid_trace]
+    assert 0 < sum(map(math.isnan, bers)) < len(bers)
+
+
 @pytest.mark.parametrize(
     "user_ratio, regs, amps",
     [
