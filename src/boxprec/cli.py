@@ -23,11 +23,12 @@ import json
 import math
 import platform
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import __version__
+from ._record import record
 from .config import (
     _PARAM_FIELDS,
     SCHEMA_VERSION,
@@ -119,7 +120,7 @@ _VERIFIABLE = tuple(
 )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RunResult:
     """Table produced by :func:`run`: ordered columns, row dicts, meta."""
 

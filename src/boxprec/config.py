@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import fields as dc_fields
 from typing import Any
 
+from ._record import record
 from .errors import ConfigError, DomainError
 from .saddle import SystemParams
 
@@ -45,7 +46,7 @@ _TOP_KEYS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExperimentConfig:
     """Validated experiment description (see module docstring)."""
 

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .errors import DomainError
 
 __all__ = ["ClipMoments", "clip_moments", "normal_pdf", "q_tail"]
@@ -89,7 +89,7 @@ def _m2_series(t):
     return _SQRT_2_OVER_PI * t * u * acc
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ClipMoments:
     """Moments of ``X = clamp(H / alpha, [-amp, amp])``, ``H ~ N(0, 1)``.
 

@@ -61,11 +61,12 @@ import os
 import queue
 import threading
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from statistics import NormalDist
 
 import numpy as np
 
+from ._record import record
 from .errors import ConfigError, DomainError
 from .precoder import (
     PrecoderSolution,
@@ -86,14 +87,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TrialMetrics:
     """Raw per-trial measurements (quant fields None when not evaluated).
 
     ``iterations`` is the box QP's work, as in
     :class:`~boxprec.precoder.PrecoderSolution`: the start, trial
     gradient steps (accepted or backtracked) and active-set or
-    free-block solves.
+    free-block solves.  It follows the last bit of the dual step, so it
+    is stable only for a fixed build and BLAS kernel, and no CSV column
+    or meta field holds it.
     """
 
     err_box: int
@@ -106,7 +109,7 @@ class TrialMetrics:
     iterations: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EmpiricalReport:
     """Aggregated Monte Carlo metrics.
 

@@ -14,10 +14,10 @@ primal-dual active-set finish), then map it through the one-bit DAC,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .errors import DomainError, SolverError
 from .moments import q_tail
 from .saddle import SystemParams, solve_saddle
@@ -35,7 +35,7 @@ __all__ = [
 _HANDOVER = 1e-5
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Realization:
     """One finite-size channel draw.
 
@@ -51,13 +51,16 @@ class Realization:
     seed: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PrecoderSolution:
     """Output of :func:`solve_box_qp`.
 
     ``iterations`` counts the start, trial gradient steps (accepted or
     backtracked) and active-set or free-block solves: 1 when the ridge
-    start lies inside the box.
+    start lies inside the box.  The count follows the last bit of the
+    dual step (``x_hat`` can stay bit-identical while it moves), so it is
+    stable only for a fixed build and BLAS kernel; no CSV column or meta
+    field holds it.
     """
 
     x_hat: np.ndarray

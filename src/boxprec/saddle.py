@@ -49,10 +49,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .errors import DomainError, SolverError
 from .moments import (
     ClipMoments,
@@ -86,7 +86,7 @@ _SCALAR_LANES = 16
 _last_solved: tuple = (None, None)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SystemParams:
     """Operating point of the downlink precoding problem.
 
@@ -173,7 +173,7 @@ class SystemParams:
         return self.reg == 0.0 and self.user_ratio == 1.0
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SaddlePoint:
     """Solution of the scalar saddle-point system.
 

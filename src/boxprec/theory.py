@@ -24,11 +24,11 @@ number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import saddle
+from ._record import record
 from .errors import DomainError
 from .moments import _SQRT2, _each, q_tail
 from .saddle import _RESIDUAL_TOL, SaddlePoint, SystemParams, saddle_residuals
@@ -55,9 +55,11 @@ def _check_solution(params: SystemParams, sp: SaddlePoint) -> None:
     returned last, recognised by identity: that very ``params`` object
     with that very ``sp`` object.  The solver applied this same test to
     these same floats before returning the point, and both records are
-    frozen, so the check refuses exactly the pairs it would refuse
-    without the shortcut.  Any other pair, an equal copy of either half
-    included, is checked in full.
+    frozen (:func:`~boxprec._record.record` keeps the dataclass's frozen
+    ``__setattr__`` and ``__delattr__``, so a field is written only while
+    its record is built), so the check refuses exactly the pairs it
+    would refuse without the shortcut.  Any other pair, an equal copy of
+    either half included, is checked in full.
     """
     last_params, last_sp = saddle._last_solved
     if last_params is params and last_sp is sp:
@@ -70,23 +72,23 @@ def _check_solution(params: SystemParams, sp: SaddlePoint) -> None:
         )
 
 
-def _refuse_nonfinite(record) -> None:
+def _refuse_nonfinite(out) -> None:
     """Raise :class:`DomainError` naming the first non-finite field of
-    ``record``, a theory record; return if there is none.
+    ``out``, a theory record; return if there is none.
 
     The kernels call it only when the sum of their outputs is not finite:
     a non-finite term always makes it so, and finite terms can only by
     overflowing, which this then finds harmless.
     """
-    for name in record.__slots__:
-        value = getattr(record, name)
+    for name in out.__slots__:
+        value = getattr(out, name)
         if not math.isfinite(value):
             raise DomainError(
-                f"{type(record).__name__}.{name} is not finite ({value!r})"
+                f"{type(out).__name__}.{name} is not finite ({value!r})"
             )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BoxTheory:
     """Asymptotics of the box-constrained precoder.
 
@@ -114,7 +116,7 @@ class BoxTheory:
     rx_scale: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class QuantTheory:
     """Asymptotics of the one-bit quantized precoder (target_power = 1).
 
@@ -129,7 +131,7 @@ class QuantTheory:
     rx_scale: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BussgangTheory:
     """Bussgang-heuristic prediction for the quantized precoder.
 
@@ -280,16 +282,21 @@ def snr_tx(
 
     ``which`` selects the pipeline: ``"box"`` uses the asymptotic power of
     the box-constrained precoder (requires ``sp``), ``"quantized"`` uses
-    the exact per-antenna power ``level^2``.
+    the exact per-antenna power ``level^2``.  An SNR that overflows is a
+    :class:`DomainError`, as a non-finite field of a theory record is.
     """
     if params.noise_var == 0.0:
         raise DomainError("transmit SNR undefined for noise_var = 0")
     if which == "quantized":
-        return params.level * params.level / params.noise_var
-    if which == "box":
+        snr = params.level * params.level / params.noise_var
+    elif which == "box":
         if sp is None:
             raise DomainError("box transmit SNR needs the saddle point")
         _check_solution(params, sp)
         power = params.user_ratio * sp.tau * sp.tau - params.target_power
-        return power / params.noise_var
-    raise DomainError(f"unknown pipeline {which!r}")
+        snr = power / params.noise_var
+    else:
+        raise DomainError(f"unknown pipeline {which!r}")
+    if not math.isfinite(snr):
+        raise DomainError(f"{which} transmit SNR is not finite ({snr!r})")
+    return snr

@@ -15,10 +15,11 @@ tests check every point bit for bit against ``solve_saddle`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
+from ._record import record
 from .errors import DomainError, SolverError
 from .moments import _clip_terms
 from .saddle import (
@@ -45,7 +46,7 @@ _DEFAULT_REG_GRID = tuple(np.logspace(-3.0, 2.0, 15))
 _DEFAULT_AMP_GRID = tuple(np.logspace(math.log10(5e-2), math.log10(2e1), 25))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TuneResult:
     """A tuned operating point.
 

@@ -19,7 +19,7 @@ from boxprec import (
 from boxprec import precoder
 from boxprec.moments import q_tail
 from boxprec.precoder import Realization, _draw
-from boxprec.presets import FIG3_REG
+from boxprec.presets import FIG3_LEVEL, FIG3_REG, PRESETS
 
 from oracles import box_qp_by_enumeration, box_qp_certificate
 
@@ -242,6 +242,27 @@ def test_fig4_solutions_are_certified_optimal(user_ratio, amp, seeds):
             user_ratio=user_ratio, reg=0.001, amp=amp, noise_var=0.09, n_antennas=800
         )
         _assert_certified(p, seed)
+
+
+@pytest.mark.parametrize(
+    "amp, seed",
+    list(zip(PRESETS["fig3"]["sweep"]["values"][2:6], (90041, 90015, 1000, 90250))),
+    ids=lambda v: f"{v:.3f}" if isinstance(v, float) else str(v),
+)
+def test_handover_moves_the_work_not_the_bits(monkeypatch, amp, seed):
+    # The returned point is the clipped free-block solve on the final
+    # active set, so the APG hand-over threshold changes how the search
+    # gets there (the iteration counts differ) but not the bits of x_hat.
+    # That is what makes a change to the search byte-safe.
+    p = SystemParams(
+        user_ratio=0.2, reg=FIG3_REG, amp=amp, level=FIG3_LEVEL, noise_var=0.09,
+        n_antennas=1000,
+    )
+    real = generate_realization(p, seed)
+    want = solve_box_qp(real, p).x_hat.tobytes()
+    for handover in (1e-4, 1e-6):
+        monkeypatch.setattr(precoder, "_HANDOVER", handover)
+        assert solve_box_qp(real, p).x_hat.tobytes() == want
 
 
 def test_certified_where_power_iteration_undershoots():

@@ -225,6 +225,16 @@ def test_snr_tx_identities():
         snr_tx(SystemParams(user_ratio=0.2, reg=1.0, amp=1.0, noise_var=0.0), "box", sp)
 
 
+def test_snr_tx_refuses_a_nonfinite_snr():
+    # level^2 overflows; a positive power over a subnormal noise_var does.
+    loud = SystemParams(user_ratio=0.2, reg=1.0, amp=1.0, level=1e300, noise_var=0.09)
+    with pytest.raises(DomainError, match=r"quantized transmit SNR is not finite \(inf\)"):
+        snr_tx(loud, "quantized")
+    quiet = SystemParams(user_ratio=0.2, reg=1.0, amp=1.0, noise_var=5e-324)
+    with pytest.raises(DomainError, match=r"box transmit SNR is not finite \(inf\)"):
+        snr_tx(quiet, "box", solve_saddle(quiet))
+
+
 def test_quant_sdnr_depends_only_on_tx_snr():
     # Holding level^2/noise_var fixed, the quantized SDNR must not move
     # with the noise floor.
