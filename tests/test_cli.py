@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -201,7 +202,10 @@ def test_json_encodes_infinite_amp(tmp_path, capsys):
 
 
 # A NaN grid-trace entry (reg 0 is infeasible below user_ratio 1) and an
-# infinite sweep value: every non-finite float is emitted as its repr.
+# infinite sweep value: every non-finite float is emitted as its repr.  The
+# tune modes also run on their default grids; at reg 5e-324 beta
+# underflows and the scalar path divides by zero, so that grid point is NaN
+# and the objective the finite BER at reg 1.
 NON_FINITE = {
     "tune-quant-nan-trace": base_config(
         "tune-quant", target_snr_db=5.0, reg_grid=[0.0, 1.0], amp_grid=[0.5, 1.0]
@@ -209,7 +213,14 @@ NON_FINITE = {
     "sweep-inf-amp": base_config(
         "sweep", sweep={"parameter": "amp", "values": [1.0, "inf"]}
     ),
+    "tune-quant": base_config("tune-quant", target_snr_db=5.0),
+    "tune-box": base_config("tune-box", target_snr_db=5.0),
+    "tune-quant-div0": base_config(
+        "tune-quant", target_snr_db=5.0, reg_grid=[5e-324, 1.0], amp_grid=[30.0]
+    ),
 }
+NON_FINITE["tune-box"]["params"]["amp"] = 2.0
+NON_FINITE["tune-quant-div0"]["params"]["user_ratio"] = 0.05
 
 
 @pytest.mark.parametrize("name", NON_FINITE)
@@ -224,8 +235,16 @@ def test_emitted_json_is_strict(tmp_path, capsys, name):
     for m in (meta, doc["meta"]):
         if name == "tune-quant-nan-trace":
             assert [ber for _, ber in m["grid_trace"]][:2] == ["nan", "nan"]
-        else:
+        elif name == "tune-quant-div0":
+            assert [[5e-324, 30.0], "nan"] in m["grid_trace"]
+        elif name == "sweep-inf-amp":
             assert m["config"]["sweep"]["values"] == [1.0, "inf"]
+    if data["mode"].startswith("tune-"):
+        assert meta["grid_trace"]
+        assert verify_file(str(out), 1e-12) == []
+        with out.open(newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert math.isfinite(float(row["objective_ber"]))
     # The sidecar's config block parses back to the config that ran.
     ran = replace(parse_config(json.dumps(data)), out_path=str(out))
     assert parse_config(json.dumps(meta["config"])) == ran
@@ -425,7 +444,8 @@ def test_exit_2_on_out_of_range_snr(tmp_path, capsys, mode, amp, db):
     cfg["params"]["amp"] = amp
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: at the configured point: transmit SNR {db!r} dB")
+    flow = "overflows" if db > 0 else "underflows"
+    assert err == f"config error: at the configured point: transmit SNR {db!r} dB {flow}\n"
 
 
 def _edge(mode, sweep=None, **params):
@@ -613,19 +633,43 @@ def _table(cfg) -> tuple[str, dict]:
     return buf.getvalue(), result.meta
 
 
+# More users than antennas: no preset has m > n.  Every free block is
+# tall, so each exact solve, the ridge start included, uses the block's own
+# n_free x n_free gram; reg 0 is allowed since m > n.
+SIM_TALL = base_config(
+    "simulate",
+    trials=6,
+    base_seed=9,
+    sweep={"parameter": "amp", "values": [0.3, 0.6, 1.2, 2.4]},
+)
+SIM_TALL["params"].update(user_ratio=1.5, reg=0.0, amp=0.3, n_antennas=100)
+
+
 # 5 trials do not split evenly over 2 workers; fig4-left is tuned for
 # both pipelines, so each of its points is two Monte Carlo jobs.  With
 # one trial per point the run stays serial, as each point's call did.
 @pytest.mark.parametrize(
-    "preset, trials, jobs",
-    [("fig3", 1, 10), ("fig3", 3, 10), ("fig3", 5, 10), ("fig4-left", 3, 14)],
+    "source, trials, jobs",
+    [
+        ("fig3", 1, 10),
+        ("fig3", 3, 10),
+        ("fig3", 5, 10),
+        ("fig4-left", 3, 14),
+        pytest.param(SIM_TALL, 6, 4, id="sim-tall-6-4"),
+    ],
 )
-def test_one_schedule_gives_the_per_point_bytes(monkeypatch, preset, trials, jobs):
-    data = preset_config(preset)
-    data["trials"] = trials
+def test_one_schedule_gives_the_per_point_bytes(
+    tmp_path, monkeypatch, source, trials, jobs
+):
+    """``source`` is a preset name or a config dict."""
+    preset = source if isinstance(source, str) else None
+    data = dict(preset_config(preset) if preset else source, trials=trials)
     cfg = parse_config(data, preset=preset)
     monkeypatch.setenv("BOXPREC_WORKERS", "1")
     serial = _table(cfg)
+    out = tmp_path / "t.csv"
+    out.write_text(serial[0])
+    assert verify_file(str(out), 1e-12) == []
     calls = []
     pooled = montecarlo._run_pooled
 

@@ -253,7 +253,10 @@ def test_handover_moves_the_work_not_the_bits(monkeypatch, amp, seed):
     # The returned point is the clipped free-block solve on the final
     # active set, so the APG hand-over threshold changes how the search
     # gets there (the iteration counts differ) but not the bits of x_hat.
-    # That is what makes a change to the search byte-safe.
+    # That is what makes a change to the search byte-safe.  The bits are
+    # the same for one BLAS kernel only: under another kernel the search
+    # can end on a different active set (fig4-right's trial 41229 under
+    # OpenBLAS's Haswell kernel), so the bytes can differ across kernels.
     p = SystemParams(
         user_ratio=0.2, reg=FIG3_REG, amp=amp, level=FIG3_LEVEL, noise_var=0.09,
         n_antennas=1000,
