@@ -86,6 +86,17 @@ def tour(tmp):
     broken.write_text('{"schema_version": 1,')
     boxprec("run", "--config", str(broken))
     boxprec("run", "--config", str(tmp / "missing.json"))
+    #    A simulate sweep tuned to 5 dB: the last box size, 0.5, cannot carry
+    #    the power that needs.  Every row is built before the first trial,
+    #    so the run exits 3 naming that point, and the 50 trials of each
+    #    earlier point never run.
+    late = dict(cfg, mode="simulate", trials=50, tuned="box",
+                target_snr_db=5.0, reg_grid=[1.0],
+                sweep={"parameter": "amp", "values": [2.0, 1.0, 0.5]})
+    late["params"] = dict(cfg["params"], n_antennas=1000)
+    late_path = tmp / "late.json"
+    late_path.write_text(json.dumps(late))
+    boxprec("run", "--config", str(late_path))
 
 
 if __name__ == "__main__":

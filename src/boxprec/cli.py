@@ -138,22 +138,19 @@ def _cells(obj, prefix: str = "", skip: tuple[str, ...] = ()) -> dict:
     }
 
 
-def _saddle_row(params: SystemParams):
-    """Parameter, saddle and moment columns for one operating point."""
+# The theory cells of a row, by prefix, and the kernel that gives them.
+_THEORY = (("box_", box_theory), ("quant_", quant_theory), ("buss_", bussgang_theory))
+
+
+def _row(params: SystemParams, kernels) -> dict:
+    """Parameter, saddle and moment cells for one operating point, plus
+    the cells ``prefix + field`` of each ``(prefix, kernel)`` in ``kernels``."""
     sp = solve_saddle(params)
     row = _cells(params)
     row.update(_cells(sp, skip=("moments", "evaluations")))
     row.update(_cells(sp.moments))
-    return sp, row
-
-
-def _theory_row(params: SystemParams) -> dict:
-    """Parameter, saddle, and theory columns for one operating point."""
-    sp, row = _saddle_row(params)
-    row.update(_cells(box_theory(params, sp), "box_"))
-    if params.target_power == 1.0:
-        row.update(_cells(quant_theory(params, sp), "quant_"))
-        row.update(_cells(bussgang_theory(params, sp), "buss_"))
+    for prefix, kernel in kernels:
+        row.update(_cells(kernel(params, sp), prefix))
     return row
 
 
@@ -197,11 +194,10 @@ def run(cfg: ExperimentConfig) -> RunResult:
     the Monte Carlo of all rows runs as one schedule on the process pool
     (see :mod:`boxprec.montecarlo`), in chunks no longer than a
     per-point run's, and fills the ``emp_*`` cells in point order.
-    Errors come as a point-by-point run would raise them: a failing
-    trial raises at the first failing point, after the points before it
-    have run, as ``at sweep point j (...)``; a tuning or theory error at
-    point j is raised once the Monte Carlo of the rows before it has run
-    without error.
+    A tuning or theory error at any point is raised before the first
+    trial runs; a failing trial is raised at the first failing point,
+    after the trials of the points before it.  Either names its point,
+    as ``at sweep point j (...)``.
     """
     tuning = cfg.mode.startswith("tune-")
     tuned = {"tune-box": "box", "tune-quant": "quantized"}.get(cfg.mode, cfg.tuned)
@@ -211,52 +207,44 @@ def run(cfg: ExperimentConfig) -> RunResult:
     # (job, row, where) per simulated row, in point order.
     sims = []
     meta_extra: dict = {}
-    failure = None
     for j, value in enumerate(points):
         if value is None:
             where = "the configured point"
         else:
             where = f"sweep point {j} ({cfg.sweep_parameter}={value!r})"
-        try:
-            with _at(where):
-                base = cfg.params
-                if value is not None:
-                    base = replace(base, **{cfg.sweep_parameter: value})
-                results = [None]
-                if tuned is not None:
-                    snr_db = cfg.target_snr_db
-                    if snr_db is None:
-                        snr_db = _snr_db(base.level, base.noise_var)
-                    results = [
-                        optimize_box(base, snr_db, cfg.reg_grid) if p == "box"
-                        else optimize_quant(base, snr_db, cfg.reg_grid, cfg.amp_grid)
-                        for p in pipelines
-                    ]
-                for pipeline, res in zip(pipelines, results):
-                    params = base if res is None else res.params
-                    if cfg.mode == "saddle":
-                        row = _saddle_row(params)[1]
-                    else:
-                        row = _theory_row(params)
-                    if pipeline is not None:
-                        row["pipeline"] = pipeline
-                    if tuning:
-                        row["objective_ber"] = res.objective
-                        meta_extra["grid_trace"] = res.grid_trace
-                    if cfg.mode == "simulate":
-                        seed = cfg.base_seed + j * cfg.trials
-                        sims.append(((params, cfg.trials, seed), row, where))
-                    rows.append(row)
-        except (DomainError, SolverError) as exc:
-            failure = exc
-            break
+        with _at(where):
+            base = cfg.params
+            if value is not None:
+                base = replace(base, **{cfg.sweep_parameter: value})
+            results = [None]
+            if tuned is not None:
+                snr_db = cfg.target_snr_db
+                if snr_db is None:
+                    snr_db = _snr_db(base.level, base.noise_var)
+                results = [
+                    optimize_box(base, snr_db, cfg.reg_grid) if p == "box"
+                    else optimize_quant(base, snr_db, cfg.reg_grid, cfg.amp_grid)
+                    for p in pipelines
+                ]
+            for pipeline, res in zip(pipelines, results):
+                params = base if res is None else res.params
+                # The one-bit and Bussgang laws hold at unit target power only.
+                kernels = _THEORY if params.target_power == 1.0 else _THEORY[:1]
+                row = _row(params, () if cfg.mode == "saddle" else kernels)
+                if pipeline is not None:
+                    row["pipeline"] = pipeline
+                if tuning:
+                    row["objective_ber"] = res.objective
+                    meta_extra["grid_trace"] = res.grid_trace
+                if cfg.mode == "simulate":
+                    seed = cfg.base_seed + j * cfg.trials
+                    sims.append(((params, cfg.trials, seed), row, where))
+                rows.append(row)
     reports = _run_jobs([job for job, _, _ in sims])
     for _, row, where in sims:
         with _at(where):
             rep = next(reports)
         row.update(_cells(rep, "emp_"))
-    if failure is not None:
-        raise failure
     columns = tuple(c for c in ALL_COLS if any(c in r for r in rows))
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -409,11 +397,6 @@ def _read_table(path: str) -> list[dict]:
         return [dict(zip(header, cells)) for cells in reader]
 
 
-# The theory columns verify_file recomputes, by prefix, and the kernel
-# that gives them.
-_THEORY = (("box_", box_theory), ("quant_", quant_theory), ("buss_", bussgang_theory))
-
-
 def verify_file(path: str, tol: float = 1e-12) -> list[str]:
     """Recompute each row's saddle and theory columns from its parameter
     columns, each kernel only where the row holds its columns.
@@ -451,19 +434,15 @@ def verify_file(path: str, tol: float = 1e-12) -> list[str]:
         try:
             # Only the columns the row holds: a saddle row has no theory
             # cell, and its point may be one box_theory refuses.
-            params = SystemParams(**kwargs)
-            sp, expected = _saddle_row(params)
-            for prefix, kernel in _THEORY:
-                if any(c.startswith(prefix) for c in present):
-                    expected.update(_cells(kernel(params, sp), prefix))
+            expected = _row(
+                SystemParams(**kwargs),
+                [k for k in _THEORY if any(c.startswith(k[0]) for c in present)],
+            )
         except (DomainError, SolverError) as exc:
             problems.append(f"row {i}: recompute failed ({exc})")
             continue
         for col in present:
-            want = expected.get(col)
-            if want is None:
-                problems.append(f"row {i}: {col} present but not recomputable")
-                continue
+            want = expected[col]
             try:
                 got = float(row[col])
             except (TypeError, ValueError):

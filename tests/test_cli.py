@@ -7,10 +7,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from boxprec import ConfigError, SolverError, cli, montecarlo
 from boxprec.cli import emit_csv, main, run, verify_file
-from boxprec.config import parse_config
+from boxprec.config import _PARAM_FIELDS, MODES, TUNED, parse_config
 from boxprec.presets import preset_config
 
 
@@ -461,22 +463,23 @@ def _edge(mode, sweep=None, **params):
     return data
 
 
-@pytest.mark.parametrize(
-    "data, code",
-    [
-        # A tuned sweep with no target_snr_db derives it from level and
-        # noise_var, which can divide by zero, underflow or overflow.
-        (_edge("sweep", ("noise_var", [0.0]), amp=2.0), 2),
-        (_edge("sweep", ("level", [5e-324]), amp=2.0), 2),
-        (_edge("sweep", ("level", [1e300]), amp=2.0), 2),
-        # Saddle points that box_theory refuses, which verify need not ask for.
-        (_edge("saddle", user_ratio=1e300, amp=2.0), 0),
-        (_edge("saddle", reg=0.001, amp=1e-300), 0),
-        # level^2 overflows the quantized distortion variance.
-        (_edge("theory", level=1e300), 2),
-    ],
-    ids=["noise-var-0", "level-tiny", "level-huge", "saddle-ratio", "saddle-amp", "theory-level"],
-)
+# Configs that once ended in a traceback or in a table that failed its own
+# verify, by id, with the exit code each must give.
+_EDGE_CONFIGS = {
+    # A tuned sweep with no target_snr_db derives it from level and
+    # noise_var, which can divide by zero, underflow or overflow.
+    "noise-var-0": (_edge("sweep", ("noise_var", [0.0]), amp=2.0), 2),
+    "level-tiny": (_edge("sweep", ("level", [5e-324]), amp=2.0), 2),
+    "level-huge": (_edge("sweep", ("level", [1e300]), amp=2.0), 2),
+    # Saddle points that box_theory refuses, which verify need not ask for.
+    "saddle-ratio": (_edge("saddle", user_ratio=1e300, amp=2.0), 0),
+    "saddle-amp": (_edge("saddle", reg=0.001, amp=1e-300), 0),
+    # level^2 overflows the quantized distortion variance.
+    "theory-level": (_edge("theory", level=1e300), 2),
+}
+
+
+@pytest.mark.parametrize("data, code", _EDGE_CONFIGS.values(), ids=_EDGE_CONFIGS)
 def test_edge_configs_exit_cleanly(tmp_path, monkeypatch, capsys, data, code):
     monkeypatch.setenv("BOXPREC_WORKERS", "1")
     out = str(tmp_path / "out.csv")
@@ -488,6 +491,97 @@ def test_edge_configs_exit_cleanly(tmp_path, monkeypatch, capsys, data, code):
     else:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("config error: at ")
+
+
+_EDGE_VALUES = (0.0, -1.0, 5e-324, 1e-300, 1e300, math.inf)
+# Ordinary values per field; n_antennas and trials stay small so that
+# each run is cheap, and their edges are the integers 0 and -1.
+_TYPICAL = {
+    "user_ratio": (0.2, 1.5),
+    "reg": (1.0, 0.01),
+    "amp": (0.5, 1.0, 2.0, math.inf),
+    "level": (1.0,),
+    "noise_var": (0.09,),
+    "target_power": (1.0, 2.0),
+    "n_antennas": (1, 8, 40),
+    "trials": (1, 2),
+    "target_snr_db": (None, 5.0),
+}
+
+
+def _value(name, edged):
+    """An ordinary value of ``name``; if ``name`` is in ``edged``, an edge
+    value half the time."""
+    typical = st.sampled_from(_TYPICAL[name])
+    if name not in edged:
+        return typical
+    edges = (0, -1) if name in ("n_antennas", "trials") else _EDGE_VALUES
+    return st.one_of(typical, st.sampled_from(edges))
+
+
+@st.composite
+def _configs(draw):
+    """A config in any mode, with any sweep parameter and tuned pipeline.
+    Up to two fields take edge values wherever they appear: in the
+    params, the sweep values and the grids."""
+    mode = draw(st.sampled_from(MODES))
+    edged = draw(st.sets(st.sampled_from(tuple(_TYPICAL)), max_size=2))
+    data = {
+        "schema_version": 1,
+        "mode": mode,
+        "params": {name: draw(_value(name, edged)) for name in _PARAM_FIELDS},
+        "output": {"format": draw(st.sampled_from(("csv", "json")))},
+    }
+    tuned = None
+    if mode in ("sweep", "simulate"):
+        parameter = draw(st.sampled_from(_PARAM_FIELDS))
+        values = draw(st.lists(_value(parameter, edged), min_size=1, max_size=3))
+        data["sweep"] = {"parameter": parameter, "values": values}
+        tuned = draw(st.sampled_from((None, *TUNED)))
+        data["tuned"] = tuned
+    if mode == "simulate":
+        data["trials"] = draw(_value("trials", edged))
+        data["base_seed"] = 17
+    if tuned is not None or mode.startswith("tune-"):
+        snr_db = draw(_value("target_snr_db", edged))
+        if snr_db is not None:
+            data["target_snr_db"] = snr_db
+        # Short grids: the default ones cost seconds per point.
+        data["reg_grid"] = draw(st.lists(_value("reg", edged), min_size=1, max_size=2))
+        data["amp_grid"] = draw(st.lists(_value("amp", edged), min_size=1, max_size=2))
+    return data
+
+
+def _with_edge_examples(test):
+    for data, _ in _EDGE_CONFIGS.values():
+        test = example(data=data)(test)
+    return test
+
+
+# The fixtures hold nothing one example leaves for the next: each example
+# rewrites the config and table, and reads its own stderr.  Tiny runs may
+# warn that a symbol class is empty.
+@pytest.mark.filterwarnings("ignore:a symbol class is empty")
+@_with_edge_examples
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=_configs())
+def test_every_config_exits_cleanly(tmp_path, monkeypatch, capsys, data):
+    # A run exits 0, 2 or 3, a failing one with one line of diagnosis, and
+    # every table it writes passes its own verify.
+    monkeypatch.setenv("BOXPREC_WORKERS", "1")
+    out = str(tmp_path / "out")
+    code = main(["run", "--config", write_config(tmp_path, data), "--out", out])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    if code == 0:
+        assert main(["verify", "--in", out, "--tol", "1e-12"]) == 0, capsys.readouterr().err
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
 
 
 def test_exit_3_on_infeasible_tuning(tmp_path, capsys):
@@ -737,12 +831,13 @@ def test_trial_error_names_its_point_after_the_earlier_points(
     assert set(drawn) >= set(range(17, 25)) and max(drawn) < 26
 
 
-@pytest.mark.parametrize("bad_seed, point", [(None, 2), (19, 1)])
-def test_tuning_error_waits_for_the_earlier_points(
-    tmp_path, monkeypatch, capsys, bad_seed, point
+@pytest.mark.parametrize("workers, bad_seed", [(1, None), (1, 19), (2, None)])
+def test_row_errors_raise_before_any_trial(
+    tmp_path, monkeypatch, capsys, workers, bad_seed
 ):
     # 5 dB needs power 0.285 > amp^2 at amp 0.5, so tuning fails at point
-    # 2; it is the error only if the trials of points 0 and 1 succeed.
+    # 2.  Every row is built before the first trial, so no trial runs, not
+    # even the failing seed 19 of point 1.
     data = base_config(
         "simulate",
         trials=2,
@@ -753,12 +848,13 @@ def test_tuning_error_waits_for_the_earlier_points(
         sweep={"parameter": "amp", "values": [2.0, 1.5, 0.5]},
     )
     data["params"]["n_antennas"] = 60
-    solved, _ = _simulated_seeds(monkeypatch, bad_seed)
+    solved, drawn = _simulated_seeds(monkeypatch, bad_seed)
+    monkeypatch.setenv("BOXPREC_WORKERS", str(workers))
+
+    def no_pool(chunks, nworkers):
+        pytest.fail("a pool schedule was started")
+
+    monkeypatch.setattr(montecarlo, "_run_pooled", no_pool)
     assert main(["run", "--config", write_config(tmp_path, data)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"solver error: at sweep point {point} (amp=")
-    if bad_seed is None:
-        assert solved == [17, 18, 19, 20]
-    else:
-        assert err.endswith(": no convergence\n")
-        assert solved == [17, 18, 19]
+    assert capsys.readouterr().err.startswith("solver error: at sweep point 2 (amp=")
+    assert solved == drawn == []
